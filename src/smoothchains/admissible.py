@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from . import bruhat
@@ -176,7 +176,7 @@ class AdmissibleSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def reflections(self) -> frozenset[Transposition]:
         """Index pairs (i, j) with T(i, j) a member."""
         return frozenset((e[1], e[2]) for e in self.members if e[0] == "T")
@@ -252,6 +252,26 @@ def smoothness_witness(w: Window) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
+def reflection_pairs(A: AdmissibleSet):
+    """The summable pairs of A for the pair rule in ordering_engine.
+
+    Yields (T(i, j), T(j, k), T(i, k) or None, R(i, j, k) in A,
+    L(i, j, k) in A) as index pairs, for i < j < k with T(i, j) and
+    T(j, k) members, in lexicographic order of (i, j) and then k.
+    """
+    refls = A.reflections
+    for (i, j) in sorted(refls):
+        for k in range(j + 1, A.degree + 1):
+            if (j, k) in refls:
+                yield (
+                    (i, j),
+                    (j, k),
+                    (i, k) if (i, k) in refls else None,
+                    ("R", i, j, k) in A.members,
+                    ("L", i, j, k) in A.members,
+                )
+
+
 @dataclass(frozen=True)
 class AdmissibilityViolation:
     axiom: str  # "closure" | "cycle-pair" | "reflection-pair"
@@ -284,14 +304,9 @@ def admissibility_violation(A: AdmissibleSet) -> AdmissibilityViolation | None:
                 "cycle-pair", (r_elem, l_outer[(i, l)], ("T", i, l))
             )
     # (c): chained reflections force one of the two 3-cycles.
-    refls = A.reflections
-    for (i, j) in sorted(refls):
-        for k in range(j + 1, A.degree + 1):
-            if (j, k) in refls:
-                if ("R", i, j, k) not in A.members and ("L", i, j, k) not in A.members:
-                    return AdmissibilityViolation(
-                        "reflection-pair", (("T", i, j), ("T", j, k))
-                    )
+    for a, b, _, ab, ba in reflection_pairs(A):
+        if not ab and not ba:
+            return AdmissibilityViolation("reflection-pair", (("T", *a), ("T", *b)))
     return None
 
 

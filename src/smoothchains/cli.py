@@ -68,6 +68,16 @@ class CliError(Exception):
     """Usage or refusal error; maps to exit code 2."""
 
 
+def _guard_size(noun: str, size: int, hard: int, soft: int, allow_large: bool) -> None:
+    """Refuse sizes over the hard limit, and over the soft cap without --allow-large."""
+    if size > hard:
+        raise CliError(f"{noun} {size} exceeds the supported limit {hard}")
+    if size > soft and not allow_large:
+        raise CliError(
+            f"{noun} {size} runs are expensive; pass --allow-large to confirm"
+        )
+
+
 def _emit(payload: dict, as_json: bool, render) -> None:
     if as_json:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -217,6 +227,10 @@ def _cmd_order(args) -> int:
 # -------------------------------------------------------------- sweep
 
 def _population(mode: str, n: int) -> list[Window]:
+    """Sweep elements in their listing order: windows, or signed windows by group id."""
+    if mode == "conjecture-d":
+        group = type_d.weyl_group(n)
+        return [w for w in group.windows if group.is_smooth(w)]
     if mode == "smooth-crosscheck":
         return [tuple(w) for w in all_windows(n)]
     return [tuple(w) for w in all_windows(n) if is_smooth_pattern(tuple(w))]
@@ -225,6 +239,21 @@ def _population(mode: str, n: int) -> list[Window]:
 def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     counters = {"checked": 1}
     violations = []
+    if mode == "conjecture-d":
+        report = type_d.check_element(type_d.weyl_group(len(w)), w, cap)
+        counters["orders"] = report.orders_found
+        if not report.ok:
+            violations.append(
+                {
+                    "window": type_d.sp_text(w),
+                    "kind": "conjecture-fails",
+                    "admissible": report.admissible,
+                    "admissibility_note": report.admissibility_note,
+                    "orders_found": report.orders_found,
+                    "products_ok": report.products_ok,
+                }
+            )
+        return counters, violations
     text = format_window(w)
     if mode == "smooth-crosscheck":
         by_pattern = is_smooth_pattern(w)
@@ -312,30 +341,6 @@ def _chunk_worker(task) -> tuple[dict, list[dict]]:
     return counters, violations
 
 
-def _chunk_worker_d(task) -> tuple[dict, list[dict]]:
-    rank, ids, cap = task
-    group = type_d.weyl_group(rank)
-    counters: dict = {}
-    violations: list[dict] = []
-    for i in ids:
-        report = type_d.check_element(group, group.windows[i], cap)
-        _merge_counters(
-            counters, {"checked": 1, "orders": report.orders_found}
-        )
-        if not report.ok:
-            violations.append(
-                {
-                    "window": type_d.sp_text(report.window),
-                    "kind": "conjecture-fails",
-                    "admissible": report.admissible,
-                    "admissibility_note": report.admissibility_note,
-                    "orders_found": report.orders_found,
-                    "products_ok": report.products_ok,
-                }
-            )
-    return counters, violations
-
-
 def _split_chunks(population: list, workers: int) -> list[list]:
     workers = max(1, min(workers, len(population) or 1))
     size, extra = divmod(len(population), workers)
@@ -348,12 +353,12 @@ def _split_chunks(population: list, workers: int) -> list[list]:
     return [c for c in chunks if c]
 
 
-def _run_chunked(worker, tasks, workers: int):
+def _run_chunked(tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
+        results = [_chunk_worker(t) for t in tasks]
     else:
         with Pool(processes=workers) as pool:
-            results = pool.map(worker, tasks)
+            results = pool.map(_chunk_worker, tasks)
     counters: dict = {}
     violations: list[dict] = []
     for part, viol in results:
@@ -389,54 +394,28 @@ def _cmd_sweep(args) -> int:
     if mode == "conjecture-d":
         if args.rank is None:
             raise CliError("--rank is required for mode conjecture-d")
-        rank = args.rank
-        hard = type_d.DEFAULT_RANK_LIMIT
-        soft = CONJECTURE_RANK_SOFT_CAP
-        if rank > hard:
-            raise CliError(f"rank {rank} exceeds the supported limit {hard}")
-        if rank > soft and not args.allow_large:
-            raise CliError(
-                f"rank {rank} sweeps are expensive; pass --allow-large to "
-                f"confirm"
-            )
-        group = type_d.weyl_group(rank)
-        smooth_ids = [
-            i for i, w in enumerate(group.windows) if group.is_smooth(w)
-        ]
-        if args.sample is not None:
-            rng = random.Random(args.seed)
-            smooth_ids = sorted(rng.sample(smooth_ids, args.sample))
+        n = args.rank
+        _guard_size("rank", n, type_d.DEFAULT_RANK_LIMIT, CONJECTURE_RANK_SOFT_CAP, args.allow_large)
         payload.update(
             {
-                "rank": rank,
+                "rank": n,
                 "degree": None,
-                "population": len(smooth_ids),
-                "simple_order": list(type_d.simple_order_config(rank)),
+                "simple_order": list(type_d.simple_order_config(n)),
             }
         )
-        chunks = _split_chunks(smooth_ids, workers)
-        tasks = [(rank, chunk, cap) for chunk in chunks]
-        counters, violations = _run_chunked(_chunk_worker_d, tasks, workers)
     else:
         if args.n is None:
             raise CliError(f"--n is required for mode {mode}")
         n = args.n
-        if n > DEFAULT_MAX_DEGREE:
-            raise CliError(f"degree {n} exceeds the supported limit {DEFAULT_MAX_DEGREE}")
-        if n > SWEEP_DEGREE_SOFT_CAP and not args.allow_large:
-            raise CliError(
-                f"degree {n} sweeps are expensive; pass --allow-large to confirm"
-            )
-        population = _population(mode, n)
-        if args.sample is not None:
-            rng = random.Random(args.seed)
-            population = sorted(rng.sample(population, args.sample))
-        payload.update(
-            {"rank": None, "degree": n, "population": len(population)}
-        )
-        chunks = _split_chunks(population, workers)
-        tasks = [(mode, chunk, cap) for chunk in chunks]
-        counters, violations = _run_chunked(_chunk_worker, tasks, workers)
+        _guard_size("degree", n, DEFAULT_MAX_DEGREE, SWEEP_DEGREE_SOFT_CAP, args.allow_large)
+        payload.update({"rank": None, "degree": n})
+    population = _population(mode, n)
+    if args.sample is not None:
+        drawn = set(random.Random(args.seed).sample(population, args.sample))
+        population = [w for w in population if w in drawn]
+    payload["population"] = len(population)
+    tasks = [(mode, chunk, cap) for chunk in _split_chunks(population, workers)]
+    counters, violations = _run_chunked(tasks, workers)
 
     payload["counters"] = counters
     payload["violations"] = violations
@@ -516,15 +495,7 @@ def _cmd_typed(args) -> int:
 
     if args.subcommand == "conjecture":
         rank = args.rank
-        if rank > type_d.DEFAULT_RANK_LIMIT:
-            raise CliError(
-                f"rank {rank} exceeds the supported limit "
-                f"{type_d.DEFAULT_RANK_LIMIT}"
-            )
-        if rank > CONJECTURE_RANK_SOFT_CAP and not args.allow_large:
-            raise CliError(
-                f"rank {rank} runs are expensive; pass --allow-large to confirm"
-            )
+        _guard_size("rank", rank, type_d.DEFAULT_RANK_LIMIT, CONJECTURE_RANK_SOFT_CAP, args.allow_large)
         report = type_d.verify_conjecture_d(rank, args.max_reflections)
         payload = {
             "schema": "smoothchains.conjecture.v1",

@@ -1,4 +1,22 @@
-"""Enumeration of linear arrangements under precedence and betweenness.
+"""Compatible reflection orders: the pair rule and the search behind it.
+
+Both the type A and the type D compatibility conditions are one rule on
+summable reflection pairs, the two-root condition of Dyer's reflection
+orders.  A type only lists its pairs (a, b, mid, ab, ba): two reflections
+whose roots sum to a root, mid the sum's reflection when it is a member
+of the set (else None), ab and ba whether the products t_a t_b and
+t_b t_a are members.  An arrangement is compatible when, for every pair,
+
+  * if mid is given, it sits strictly between a and b (either
+    orientation);
+  * otherwise exactly one product is a member, and it fixes the order:
+    a before b iff ab.
+
+Neither or both products without mid make the rule unsatisfiable; on
+admissible sets this never happens.  ``is_compatible_order`` checks the
+rule directly, ``compile_pairs`` turns it into precedence and
+betweenness constraints, and ``capped_orders`` lists every compatible
+arrangement through the engine below, refusing sets over a cap.
 
 The engine takes a finite item set together with two constraint families:
 
@@ -7,8 +25,7 @@ The engine takes a finite item set together with two constraint families:
     either orientation.
 
 It yields every arrangement satisfying all constraints, depth first over
-items in sorted order, so the output sequence is deterministic.  Both the
-type A and the type D compatible-order searches compile to this form.
+items in sorted order, so the output sequence is deterministic.
 
 Placement feasibility is arranged so that every prefix of a partial
 arrangement extends the constraints consistently:
@@ -25,9 +42,69 @@ filtering pass is needed.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
 Item = Hashable
+# (a, b, mid, ab, ba): see the module docstring.
+Pair = tuple[Item, Item, Item | None, bool, bool]
+
+
+def is_compatible_order(
+    order: tuple[Item, ...], items: Iterable[Item], pairs: Iterable[Pair]
+) -> bool:
+    """Check the pair rule directly; the reference for compile_pairs.
+
+    The arrangement must use exactly the given items.
+    """
+    pos = {x: p for p, x in enumerate(order)}
+    if len(pos) != len(order) or pos.keys() != set(items):
+        raise ValueError("arrangement does not match the reflection members")
+    for a, b, mid, ab, ba in pairs:
+        pa, pb = pos[a], pos[b]
+        if mid is not None:
+            if not min(pa, pb) < pos[mid] < max(pa, pb):
+                return False
+        elif ab == ba or ab != (pa < pb):
+            return False
+    return True
+
+
+def compile_pairs(
+    pairs: Iterable[Pair],
+) -> tuple[list[tuple[Item, Item]], list[tuple[Item, Item, Item]]]:
+    """Precedence and betweenness constraints equivalent to the pair rule.
+
+    A pair with neither or both products and no mid gets both
+    precedences, so the constraints are unsatisfiable on purpose.
+    """
+    precedence = []
+    betweenness = []
+    for a, b, mid, ab, ba in pairs:
+        if mid is not None:
+            betweenness.append((a, mid, b))
+            continue
+        if ab or not ba:
+            precedence.append((a, b))
+        if ba or not ab:
+            precedence.append((b, a))
+    return precedence, betweenness
+
+
+def capped_orders(
+    items: Iterable[Item], pairs: Iterable[Pair], max_items: int | None
+) -> list[tuple[Item, ...]]:
+    """All compatible arrangements, in the engine's deterministic order.
+
+    Refuses more than max_items items (None lifts the cap) before the
+    pairs are read, since the search space grows factorially.
+    """
+    items = sorted(items)
+    if max_items is not None and len(items) > max_items:
+        raise ValueError(
+            f"{len(items)} reflections exceed the enumeration cap "
+            f"{max_items}; raise max_reflections to proceed"
+        )
+    return list(constrained_orders(items, *compile_pairs(pairs)))
 
 
 def constrained_orders(
@@ -92,11 +169,3 @@ def constrained_orders(
 
     return search(0)
 
-
-def count_orders(
-    items: Iterable[Item],
-    precedence: Iterable[tuple[Item, Item]] = (),
-    betweenness: Iterable[tuple[Item, Item, Item]] = (),
-) -> int:
-    """Number of valid arrangements (enumerates; intended for small sets)."""
-    return sum(1 for _ in constrained_orders(items, precedence, betweenness))

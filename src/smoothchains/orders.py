@@ -1,12 +1,17 @@
 """Compatible reflection orders and saturated-chain verification.
 
 A reflection order for a set A of ground elements is an arrangement of
-the transposition members of A.  It is compatible with A when, for every
-i < j < k with T(i, j) and T(j, k) both members:
+the transposition members of A.  It is compatible with A when it obeys
+the pair rule of ordering_engine on the pairs T(i, j), T(j, k) with
+i < j < k, both members, whose sum is T(i, k) and whose products are
+R(i, j, k) and L(i, j, k):
 
   * if T(i, k) is a member, it sits strictly between T(i, j) and
     T(j, k) in the arrangement (either orientation);
-  * otherwise R(i, j, k) is a member iff T(i, j) precedes T(j, k).
+  * otherwise exactly one of R(i, j, k), L(i, j, k) is a member, and
+    T(i, j) precedes T(j, k) iff it is R(i, j, k).
+
+The pairs are listed by admissible.reflection_pairs.
 
 For smooth w, multiplying the arrangement of the full set below w gives
 w back, and both the prefix products and the reversed-word prefix
@@ -29,10 +34,11 @@ from .admissible import (
     invert_set,
     is_admissible,
     is_smooth_pattern,
+    reflection_pairs,
     restrict,
     smoothness_witness,
 )
-from .ordering_engine import constrained_orders
+from .ordering_engine import capped_orders, compile_pairs, is_compatible_order
 from .permutations import (
     Transposition,
     Window,
@@ -57,66 +63,20 @@ def order_text(order: ReflectionOrder) -> str:
 
 
 def is_compatible(order: ReflectionOrder, A: AdmissibleSet) -> bool:
-    """Check the two compatibility conditions against A.
-
-    The arrangement must use exactly the reflection members of A.
-    """
-    refls = A.reflections
-    if frozenset(order) != refls or len(order) != len(refls):
-        raise ValueError("arrangement does not match the reflection members")
-    pos = {t: p for p, t in enumerate(order)}
-    n = A.degree
-    for (i, j) in refls:
-        for k in range(j + 1, n + 1):
-            if (j, k) not in refls:
-                continue
-            p_ij, p_jk = pos[(i, j)], pos[(j, k)]
-            if (i, k) in refls:
-                p_ik = pos[(i, k)]
-                if not (min(p_ij, p_jk) < p_ik < max(p_ij, p_jk)):
-                    return False
-            else:
-                if (("R", i, j, k) in A.members) != (p_ij < p_jk):
-                    return False
-    return True
+    """Check the pair rule; the arrangement must use exactly A's reflections."""
+    return is_compatible_order(order, A.reflections, reflection_pairs(A))
 
 
-def compile_constraints(
-    A: AdmissibleSet,
-) -> tuple[list[tuple[Transposition, Transposition]], list[tuple[Transposition, Transposition, Transposition]]]:
+def compile_constraints(A: AdmissibleSet):
     """Precedence and betweenness constraints equivalent to is_compatible."""
-    refls = A.reflections
-    precedence = []
-    betweenness = []
-    for (i, j) in sorted(refls):
-        for k in range(j + 1, A.degree + 1):
-            if (j, k) not in refls:
-                continue
-            if (i, k) in refls:
-                betweenness.append(((i, j), (i, k), (j, k)))
-            elif ("R", i, j, k) in A.members:
-                precedence.append(((i, j), (j, k)))
-            else:
-                precedence.append(((j, k), (i, j)))
-    return precedence, betweenness
+    return compile_pairs(reflection_pairs(A))
 
 
 def enumerate_compatible_orders(
     A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> list[ReflectionOrder]:
-    """All compatible arrangements, in the engine's deterministic order.
-
-    Refuses sets with more reflections than max_reflections (pass None
-    to lift the cap) since the search space grows factorially.
-    """
-    refls = sorted(A.reflections)
-    if max_reflections is not None and len(refls) > max_reflections:
-        raise ValueError(
-            f"{len(refls)} reflections exceed the enumeration cap "
-            f"{max_reflections}; raise max_reflections to proceed"
-        )
-    precedence, betweenness = compile_constraints(A)
-    return list(constrained_orders(refls, precedence, betweenness))
+    """All compatible arrangements; refused over max_reflections (None lifts it)."""
+    return capped_orders(A.reflections, reflection_pairs(A), max_reflections)
 
 
 def construction_steps(A: AdmissibleSet):
@@ -220,6 +180,8 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     for t in reversed(order):
         suffix.append(times_transposition(suffix[-1], t))
     product = prefix[-1]
+    prefix_break = bruhat.first_noncover(prefix)
+    suffix_break = bruhat.first_noncover(suffix)
     return VerificationReport(
         window=w,
         order=tuple(order),
@@ -227,10 +189,10 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
         prefix_chain=tuple(prefix),
         suffix_chain=tuple(suffix),
         product_ok=product == w,
-        prefix_saturated=bruhat.is_saturated_chain(prefix),
-        suffix_saturated=bruhat.is_saturated_chain(suffix),
-        prefix_first_break=bruhat.first_noncover(prefix),
-        suffix_first_break=bruhat.first_noncover(suffix),
+        prefix_saturated=prefix_break is None,
+        suffix_saturated=suffix_break is None,
+        prefix_first_break=prefix_break,
+        suffix_first_break=suffix_break,
     )
 
 

@@ -10,7 +10,9 @@ The conjecture under test: for smooth w (palindromic lower interval,
 which in this simply laced type is smoothness), the set of reflections
 and ordered two-reflection products below w is admissible, admits a
 compatible arrangement of its reflections, and every compatible
-arrangement multiplies back to w.
+arrangement multiplies back to w.  Compatibility is the pair rule of
+ordering_engine; this module only lists its summable root pairs
+(summable_pairs).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordering_engine import constrained_orders
+from .ordering_engine import capped_orders, is_compatible_order
 
 Root = tuple[int, ...]
 SignedWindow = tuple[int, ...]
@@ -482,14 +484,9 @@ def admissibility_violation_d(
                     return AdmissibilityViolationD(
                         "product-pair", (lab, ("tt", b, a), ("t", gamma))
                     )
-    refl_roots = sorted(lab[1] for lab in A if lab[0] == "t")
-    pos_set = set(positive_roots(group.rank))
-    for a, b in itertools.combinations(refl_roots, 2):
-        if tuple_add(a, b) in pos_set:
-            if ("tt", a, b) not in A and ("tt", b, a) not in A:
-                return AdmissibilityViolationD(
-                    "reflection-pair", (("t", a), ("t", b))
-                )
+    for a, b, _, ab, ba in summable_pairs(A, group.rank):
+        if not ab and not ba:
+            return AdmissibilityViolationD("reflection-pair", (("t", a), ("t", b)))
     return None
 
 
@@ -505,63 +502,29 @@ def reflection_roots(A: frozenset[Label]) -> tuple[Root, ...]:
     return tuple(sorted(lab[1] for lab in A if lab[0] == "t"))
 
 
+def summable_pairs(A: frozenset[Label], n: int):
+    """The summable pairs of A for the pair rule in ordering_engine.
+
+    Yields (a, b, a + b or None, t_a t_b in A, t_b t_a in A) for each
+    pair of reflection roots of A, in combinations order, whose sum is
+    a positive root; the sum is given when its reflection is a member.
+    """
+    pos_set = set(positive_roots(n))
+    for a, b in itertools.combinations(reflection_roots(A), 2):
+        gamma = tuple_add(a, b)
+        if gamma in pos_set:
+            yield (
+                a,
+                b,
+                gamma if ("t", gamma) in A else None,
+                ("tt", a, b) in A,
+                ("tt", b, a) in A,
+            )
+
+
 def is_compatible_d(order: tuple[Root, ...], A: frozenset[Label], n: int) -> bool:
-    """Check the conjectured compatibility conditions against A."""
-    roots = reflection_roots(A)
-    if tuple(sorted(order)) != roots or len(order) != len(roots):
-        raise ValueError("arrangement does not match the reflection members")
-    pos_set = set(positive_roots(n))
-    position = {a: p for p, a in enumerate(order)}
-    for a, b in itertools.combinations(roots, 2):
-        gamma = tuple_add(a, b)
-        if gamma not in pos_set:
-            continue
-        pa, pb = position[a], position[b]
-        if ("t", gamma) in A:
-            pg = position[gamma]
-            if not (min(pa, pb) < pg < max(pa, pb)):
-                return False
-        else:
-            if (("tt", a, b) in A) != (pa < pb):
-                return False
-            if (("tt", b, a) in A) != (pb < pa):
-                return False
-    return True
-
-
-def compile_constraints_d(A: frozenset[Label], n: int):
-    """Precedence and betweenness constraints matching is_compatible_d."""
-    roots = reflection_roots(A)
-    root_set = set(roots)
-    pos_set = set(positive_roots(n))
-    precedence = []
-    betweenness = []
-    for a, b in itertools.combinations(roots, 2):
-        gamma = tuple_add(a, b)
-        if gamma not in pos_set:
-            continue
-        if ("t", gamma) in A:
-            if gamma not in root_set:
-                # The sum's reflection is a member but cannot appear in
-                # an arrangement of the reflections of A; downward
-                # closure makes this unreachable for admissible A.
-                precedence.append((a, b))
-                precedence.append((b, a))
-                continue
-            betweenness.append((a, gamma, b))
-            continue
-        ab = ("tt", a, b) in A
-        ba = ("tt", b, a) in A
-        if ab:
-            precedence.append((a, b))
-        if ba:
-            precedence.append((b, a))
-        if not ab and not ba:
-            # Neither product allowed: both orientations violate the
-            # iff, so the constraints are unsatisfiable on purpose.
-            precedence.append((a, b))
-            precedence.append((b, a))
-    return precedence, betweenness
+    """Check the pair rule; the arrangement must use exactly A's reflections."""
+    return is_compatible_order(order, reflection_roots(A), summable_pairs(A, n))
 
 
 def enumerate_compatible_orders_d(
@@ -569,14 +532,7 @@ def enumerate_compatible_orders_d(
     n: int,
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
 ) -> list[tuple[Root, ...]]:
-    roots = reflection_roots(A)
-    if max_reflections is not None and len(roots) > max_reflections:
-        raise ValueError(
-            f"{len(roots)} reflections exceed the enumeration cap "
-            f"{max_reflections}; raise max_reflections to proceed"
-        )
-    precedence, betweenness = compile_constraints_d(A, n)
-    return list(constrained_orders(roots, precedence, betweenness))
+    return capped_orders(reflection_roots(A), summable_pairs(A, n), max_reflections)
 
 
 def product_of_root_order(order: tuple[Root, ...], n: int) -> SignedWindow:

@@ -7,11 +7,15 @@ import pytest
 
 from oracles import compatible_orders_brute
 from smoothchains.admissible import (
+    admissibility_violation,
     c23,
     c_t,
     find_wedges,
     is_smooth_pattern,
+    lcycle,
     make_set,
+    rcycle,
+    refl,
     restrict,
 )
 from smoothchains.orders import (
@@ -140,6 +144,21 @@ def test_compile_constraints_equivalent_to_direct_check():
                 for a, b, c in betweenness
             )
             assert satisfied == is_compatible(arrangement, A), (w, arrangement)
+
+
+def test_chained_pair_needs_exactly_one_cycle_without_its_sum():
+    # Outside the admissible domain: with T(1,2), T(2,3) but no T(1,3),
+    # neither 3-cycle or both leave the pair rule nothing to fix the
+    # orientation by, so no arrangement is compatible.
+    bare = make_set(3, [refl(1, 2), refl(2, 3)])
+    both = make_set(3, [*bare.members, rcycle(1, 2, 3), lcycle(1, 2, 3)])
+    for A in (bare, both):
+        assert enumerate_compatible_orders(A) == []
+        for arrangement in itertools.permutations(sorted(A.reflections)):
+            assert not is_compatible(arrangement, A)
+    violation = admissibility_violation(bare)
+    assert violation.axiom == "reflection-pair"
+    assert violation.witness == (("T", 1, 2), ("T", 2, 3))
 
 
 # --------------------------------------------------------- enumeration

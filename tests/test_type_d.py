@@ -317,18 +317,28 @@ def test_embed_window_validates():
 
 
 def test_embedded_smooth_s4_elements_match_type_a_order_counts():
-    group = weyl_group(4)
-    total = 0
-    for w in all_windows(4):
-        w = tuple(w)
-        if not is_smooth_pattern(w):
-            continue
-        type_a = len(enumerate_compatible_orders(c23(w)))
-        report = check_element(group, embed_window(w))
-        assert report.ok, w
-        assert report.orders_found == type_a, w
-        total += type_a
-    assert total == 54
+    # Both types share one pair rule, so with T(i,j) read as e_j - e_i
+    # every smooth window of S4 and S5 has the same compatible orders in
+    # type A and, embedded, in type D.
+    for n, expected_total in ((4, 54), (5, 1517)):
+        group = weyl_group(n)
+        total = 0
+        for w in all_windows(n):
+            w = tuple(w)
+            if not is_smooth_pattern(w):
+                continue
+            type_a = {
+                tuple(parse_root(f"e{j}-e{i}", n) for i, j in order)
+                for order in enumerate_compatible_orders(c23(w))
+            }
+            embedded = embed_window(w)
+            report = check_element(group, embedded)
+            assert report.ok, w
+            assert report.orders_found == len(type_a), w
+            A = c23_below(group, embedded)
+            assert set(enumerate_compatible_orders_d(A, n)) == type_a, w
+            total += len(type_a)
+        assert total == expected_total
 
 
 # ------------------------------------------------------ labels and sets
