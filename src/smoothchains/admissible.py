@@ -146,21 +146,15 @@ def all_elements23(n: int) -> tuple[Element, ...]:
 @lru_cache(maxsize=None)
 def _below_within_ground(n: int) -> dict[Element, frozenset[Element]]:
     # For each ground element, the ground elements weakly below it.
-    ground = all_elements23(n)
-    windows = {e: realize(e, n) for e in ground}
-    out = {}
-    for e in ground:
-        we = windows[e]
-        out[e] = frozenset(
-            f for f in ground
-            if length(windows[f]) <= length(we) and bruhat.leq(windows[f], we)
-        )
-    return out
+    return {e: c23(realize(e, n)).members for e in all_elements23(n)}
 
 
 def element23_leq(elem: Element, w: Window) -> bool:
     """Is the realized element below w in Bruhat order?"""
-    return bruhat.leq(realize(elem, len(w)), w)
+    kind, *idx = validate_element(elem, len(w))
+    if kind == "T":
+        return bruhat.reflection_leq(tuple(idx), w)
+    return _cycle_below(kind, *idx, mu(w), mu(inverse(w)))
 
 
 @dataclass(frozen=True)
@@ -214,18 +208,31 @@ def c_t(w: Window) -> frozenset[Transposition]:
     )
 
 
+def _cycle_below(kind: str, i: int, j: int, k: int, m, mi) -> bool:
+    # m = mu(w), mi = mu(w^{-1}); L = R^{-1} swaps their roles.
+    if kind == "L":
+        m, mi = mi, m
+    return m[i - 1] >= j and m[j - 1] >= k and mi[i - 1] >= k
+
+
 def c23(w: Window) -> AdmissibleSet:
-    """All ground elements below w in Bruhat order."""
-    n = len(w)
-    lw = length(w)
+    """All ground elements below w in Bruhat order, from running maxima.
+
+    Reflections are c_t(w).  R(i, j, k) exceeds the identity's rank matrix
+    (rows p, columns q) by one exactly on [i, j-1] x (i, j] and
+    [j, k-1] x (i, k] (Fulton, Duke Math. J. 1992; Bjorner-Brenti, Thm 2.1.5).
+    A cell p < q there needs max w(1..p) >= q, a cell p >= q needs
+    max w^{-1}(1..q-1) > p; both maxima grow with their index, so the
+    corners decide: R(i, j, k) <= w iff mu(w)[i] >= j, mu(w)[j] >= k and
+    mu(w^{-1})[i] >= k (1-based); L(i, j, k) <= w iff R(i, j, k) <= w^{-1}.
+    """
+    m, mi = mu(w), mu(inverse(w))
     members = [("T", i, j) for i, j in c_t(w)]
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+    for i, j, k in itertools.combinations(range(1, len(w) + 1), 3):
         for kind in ("R", "L"):
-            elem = (kind, i, j, k)
-            win = realize(elem, n)
-            if length(win) <= lw and bruhat.leq(win, w):
-                members.append(elem)
-    return AdmissibleSet(n, frozenset(members))
+            if _cycle_below(kind, i, j, k, m, mi):
+                members.append((kind, i, j, k))
+    return AdmissibleSet(len(w), frozenset(members))
 
 
 def is_smooth_pattern(w: Window) -> bool:

@@ -9,7 +9,6 @@ strictly between x(a) and x(b).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .permutations import (
@@ -36,18 +35,11 @@ def rank_matrix(w: Window) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _rank_matrix_cached(w: Window) -> tuple[tuple[int, ...], ...]:
-    return rank_matrix(w)
-
-
 def leq(x: Window, y: Window) -> bool:
     """x <= y in strong Bruhat order (degrees must agree)."""
     if len(x) != len(y):
         raise ValueError("degree mismatch in Bruhat comparison")
-    rx = _rank_matrix_cached(x)
-    ry = _rank_matrix_cached(y)
-    for row_x, row_y in zip(rx, ry):
+    for row_x, row_y in zip(rank_matrix(x), rank_matrix(y)):
         for a, b in zip(row_x, row_y):
             if a > b:
                 return False

@@ -35,6 +35,7 @@ from .orders import (
     DEFAULT_MAX_REFLECTIONS,
     NotSmoothError,
     construct_compatible_order,
+    construct_for_set,
     enumerate_compatible_orders,
     graph_connected,
     is_compatible,
@@ -281,7 +282,7 @@ def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dic
             )
     elif mode == "theorem-verify":
         A = c23(w)
-        order = construct_compatible_order(w)
+        order = construct_for_set(A)
         report = verify_order(w, order)
         ok = report.all_ok and is_compatible(order, A)
         counters["verified"] = int(ok)

@@ -175,6 +175,38 @@ def test_element23_leq_spot_checks():
     assert element23_leq(("T", 1, 2), parse("21"))
 
 
+@pytest.mark.parametrize("n, smooth_only", [(6, False), (7, True)])
+def test_c23_matches_rank_matrix_leq(n, smooth_only):
+    # c23 decides from running maxima; the rank-matrix leq is independent.
+    ground = all_elements23(n)
+    for w in smooth_windows(n) if smooth_only else all_windows(n):
+        expect = {e for e in ground if leq(realize(e, n), w)}
+        assert c23(w).members == expect, w
+
+
+def test_element23_leq_matches_rank_matrix_leq_on_s5():
+    for w in all_windows(5):
+        for e in all_elements23(5):
+            assert element23_leq(e, w) == leq(realize(e, 5), w), (e, w)
+    with pytest.raises(ValueError):
+        element23_leq(("R", 1, 2, 4), parse("321"))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_below_within_ground_matches_length_and_leq(n):
+    ground = all_elements23(n)
+    windows = {e: realize(e, n) for e in ground}
+    expect = {
+        e: frozenset(
+            f for f in ground
+            if length(windows[f]) <= length(windows[e])
+            and leq(windows[f], windows[e])
+        )
+        for e in ground
+    }
+    assert adm_mod._below_within_ground(n) == expect
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_invert_set_is_c23_of_inverse(n):
     for w in all_windows(n):
