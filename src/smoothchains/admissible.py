@@ -109,12 +109,13 @@ def parse_element(text: str) -> Element:
     return validate_element((text[0], *idx))
 
 
+_INVERSE_KIND = {"T": "T", "R": "L", "L": "R"}
+
+
 def invert_element(elem: Element) -> Element:
     """Label of the inverse permutation: fixes T, swaps R and L."""
     kind, *idx = validate_element(elem)
-    if kind == "T":
-        return elem
-    return ("L" if kind == "R" else "R", *idx)
+    return (_INVERSE_KIND[kind], *idx)
 
 
 @lru_cache(maxsize=None)
@@ -192,19 +193,17 @@ def make_set(degree: int, members: Iterable[Element]) -> AdmissibleSet:
 
 def invert_set(A: AdmissibleSet) -> AdmissibleSet:
     """Member-wise inverse; the ground set below w^{-1} when A is the one below w."""
-    return AdmissibleSet(A.degree, frozenset(invert_element(e) for e in A.members))
+    # no re-validation: every set comes from make_set, c23, restrict or invert_set
+    inverted = frozenset((_INVERSE_KIND[e[0]], *e[1:]) for e in A.members)
+    return AdmissibleSet(A.degree, inverted)
 
 
 def c_t(w: Window) -> frozenset[Transposition]:
     """Transpositions below w in Bruhat order."""
-    n = len(w)
-    mw = mu(w)
-    mwi = mu(inverse(w))
+    mw, mwi = mu(w), mu(inverse(w))
     return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if mw[i - 1] >= j and mwi[i - 1] >= j
+        t for t in itertools.combinations(range(1, len(w) + 1), 2)
+        if bruhat.reflection_leq(t, w, mw, mwi)
     )
 
 
@@ -345,9 +344,12 @@ def restrict(A: AdmissibleSet, wedge: Transposition) -> AdmissibleSet:
     """
     if wedge not in find_wedges(A):
         raise ValueError(f"{wedge} is not a wedge of the set")
-    i = wedge[0]
-    kept = frozenset(e for e in A.members if e[1] != i)
-    return AdmissibleSet(A.degree, kept)
+    return _drop_first_index(A, wedge[0])
+
+
+def _drop_first_index(A: AdmissibleSet, i: int) -> AdmissibleSet:
+    # restrict minus the wedge check, for a wedge find_wedges just returned
+    return AdmissibleSet(A.degree, frozenset(e for e in A.members if e[1] != i))
 
 
 def wedge_window_test(w: Window, i: int, j: int) -> bool:

@@ -125,8 +125,8 @@ def chain_to_dot(chain: Sequence[Window], name: str = "chain") -> str:
 def interval_rank_counts(w: Window) -> tuple[int, ...]:
     """Sizes of the length-graded pieces of the interval [e, w].
 
-    Index d counts the elements x <= w with length d.  Used by tests and
-    the type D module to decide rational smoothness by palindromicity.
+    Index d counts the elements x <= w with length d.  Used by tests to
+    decide rational smoothness by palindromicity.
     """
     # Grow the interval downward from w: every element below w is
     # reachable through length-decreasing reflection moves, so this

@@ -30,7 +30,7 @@ from .admissible import (
     is_smooth_pattern,
     parse_element,
 )
-from .bruhat import chain_text, chain_to_dot
+from .bruhat import chain_to_dot
 from .orders import (
     DEFAULT_MAX_REFLECTIONS,
     NotSmoothError,

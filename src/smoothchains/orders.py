@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from . import bruhat
 from .admissible import (
     AdmissibleSet,
+    _drop_first_index,
     c23,
     c_t,
     find_wedges,
     invert_set,
-    is_admissible,
     is_smooth_pattern,
     reflection_pairs,
-    restrict,
     smoothness_witness,
 )
 from .ordering_engine import capped_orders, compile_pairs, is_compatible_order
@@ -44,7 +43,6 @@ from .permutations import (
     Window,
     format_window,
     identity,
-    inverse,
     length,
     times_transposition,
 )
@@ -79,43 +77,44 @@ def enumerate_compatible_orders(
     return capped_orders(A.reflections, reflection_pairs(A), max_reflections)
 
 
-def construction_steps(A: AdmissibleSet):
-    """Yield (set, wedge) for each wedge step of the recursive build.
+def _wedge_walk(A: AdmissibleSet):
+    """Yield (set, wedge, inverted) for each wedge step of the build.
 
-    Follows the same wedge choices as construct_for_set, including the
-    switch to the inverse set when no wedge exists on the given side.
+    A set without a wedge is replaced by its inverse set, which has one;
+    inverted says whether the current set is on the inverse side of A.
     """
+    inverted = False
     while A.members:
-        if not A.reflections:
-            raise ValueError("set has cycles but no reflections")
         wedges = find_wedges(A)
         if not wedges:
             A = invert_set(A)
+            inverted = not inverted
             wedges = find_wedges(A)
             if not wedges:
                 raise ValueError("no wedge on either side; set is not admissible")
-        yield A, wedges[0]
-        A = restrict(A, wedges[0])
+        i, j = wedges[0]
+        yield A, (i, j), inverted
+        A = _drop_first_index(A, i)
+
+
+def construction_steps(A: AdmissibleSet):
+    """Yield (set, wedge) for each wedge step of construct_for_set."""
+    return ((B, wedge) for B, wedge, _ in _wedge_walk(A))
 
 
 def construct_for_set(A: AdmissibleSet) -> ReflectionOrder:
     """A compatible arrangement for an admissible set, built wedge by wedge.
 
-    With wedge (i, j) the block T(i, j), T(i, j-1), ..., T(i, i+1) is
-    appended after an arrangement for the restricted set.  When A has no
-    wedge, the inverse set does; its arrangement is built and reversed.
+    With wedge (i, j) the block T(i, j), T(i, j-1), ..., T(i, i+1) comes
+    after an arrangement for the restricted set.  A set without a wedge
+    takes the reverse of its inverse set's arrangement, so a block found
+    on the inverse side goes reversed, before the blocks found after it.
     """
-    if not A.members:
-        return ()
-    wedges = find_wedges(A)
-    if wedges:
-        i, j = wedges[0]
-        inner = construct_for_set(restrict(A, (i, j)))
-        return inner + tuple((i, r) for r in range(j, i, -1))
-    inverted = invert_set(A)
-    if not find_wedges(inverted):
-        raise ValueError("no wedge on either side; set is not admissible")
-    return tuple(reversed(construct_for_set(inverted)))
+    order: ReflectionOrder = ()
+    for _, (i, j), inverted in reversed(list(_wedge_walk(A))):
+        block = tuple((i, r) for r in range(j, i, -1))
+        order = block[::-1] + order if inverted else order + block
+    return order
 
 
 def construct_compatible_order(w: Window) -> ReflectionOrder:
@@ -209,41 +208,42 @@ def _triangle_middle(a: Transposition, m: Transposition, b: Transposition) -> bo
     return m == (min(support), max(support))
 
 
-def elementary_neighbors(
-    order: ReflectionOrder, A: AdmissibleSet
-) -> list[ReflectionOrder]:
-    """Arrangements one elementary move away that stay compatible.
+def _moves(order: ReflectionOrder):
+    """Every arrangement one elementary move away, compatible or not.
 
     Moves: swap two adjacent disjoint reflections; reverse three
     consecutive reflections forming a triangle with the long one in the
-    middle.
+    middle.  Distinct moves change different positions, so none repeats.
     """
-    out = []
-    k = len(order)
-    for p in range(k - 1):
+    for p in range(len(order) - 1):
         if _disjoint(order[p], order[p + 1]):
-            cand = order[:p] + (order[p + 1], order[p]) + order[p + 2 :]
-            if is_compatible(cand, A):
-                out.append(cand)
-    for p in range(k - 2):
+            yield order[:p] + (order[p + 1], order[p]) + order[p + 2 :]
+    for p in range(len(order) - 2):
         a, m, b = order[p : p + 3]
         if _triangle_middle(a, m, b):
-            cand = order[:p] + (b, m, a) + order[p + 3 :]
-            if is_compatible(cand, A):
-                out.append(cand)
-    return list(dict.fromkeys(out))
+            yield order[:p] + (b, m, a) + order[p + 3 :]
+
+
+def elementary_neighbors(
+    order: ReflectionOrder, A: AdmissibleSet
+) -> list[ReflectionOrder]:
+    """Arrangements one elementary move away that stay compatible."""
+    return [cand for cand in _moves(order) if is_compatible(cand, A)]
 
 
 def order_graph(
     A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> tuple[list[ReflectionOrder], list[tuple[int, int]]]:
-    """Vertices (all compatible arrangements) and elementary-move edges."""
+    """Vertices (all compatible arrangements) and elementary-move edges.
+
+    A move landing on a vertex is compatible, so no pair rule is re-run.
+    """
     vertices = enumerate_compatible_orders(A, max_reflections)
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for i, v in enumerate(vertices):
-        for u in elementary_neighbors(v, A):
-            j = index[u]
+        for u in _moves(v):
+            j = index.get(u, -1)
             if i < j:
                 edges.append((i, j))
     return vertices, edges
@@ -268,23 +268,20 @@ def graph_connected(
 ) -> bool:
     """Is the elementary-move graph on compatible arrangements connected?
 
-    Breadth-first search from the first enumerated arrangement, compared
-    against the full enumeration.
+    Merges order_graph's edges in a union-find forest and counts roots.
     """
-    vertices = enumerate_compatible_orders(A, max_reflections)
-    if len(vertices) <= 1:
-        return True
-    seen = {vertices[0]}
-    frontier = [vertices[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in elementary_neighbors(v, A):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == len(vertices)
+    vertices, edges = order_graph(A, max_reflections)
+    root = list(range(len(vertices)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, j in edges:
+        root[find(i)] = find(j)
+    return len({find(v) for v in range(len(root))}) <= 1
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import smoothchains.admissible as adm_mod
 from oracles import bruhat_leq_oracle
 from smoothchains.admissible import (
-    AdmissibleSet,
     admissibility_violation,
     all_elements23,
     c23,
@@ -35,7 +34,7 @@ from smoothchains.admissible import (
     validate_element,
     wedge_window_test,
 )
-from smoothchains.bruhat import leq, reflection_leq
+from smoothchains.bruhat import leq
 from smoothchains.permutations import (
     all_transpositions,
     all_windows,
@@ -114,6 +113,11 @@ def test_invert_element_matches_realized_inverse():
     for e in all_elements23(n):
         assert realize(invert_element(e), n) == inverse(realize(e, n))
         assert invert_element(invert_element(e)) == e
+
+
+def test_invert_element_rejects_bad_label():
+    with pytest.raises(ValueError):
+        invert_element(("X", 1, 2))
 
 
 def test_ground_set_size():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import bruhat_downsets, bruhat_leq_oracle, cover_pairs_oracle
+from oracles import bruhat_downsets, cover_pairs_oracle
 from smoothchains.bruhat import (
     chain_text,
     chain_to_dot,

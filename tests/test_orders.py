@@ -11,6 +11,7 @@ from smoothchains.admissible import (
     c23,
     c_t,
     find_wedges,
+    invert_set,
     is_smooth_pattern,
     lcycle,
     make_set,
@@ -38,7 +39,6 @@ from smoothchains.permutations import (
     all_windows,
     identity,
     inverse,
-    length,
     parse,
 )
 
@@ -102,6 +102,27 @@ def test_no_restricted_reflection_straddles_the_wedge_pivot(n):
         for A, (i, j) in construction_steps(c23(w)):
             for (x, y) in restrict(A, (i, j)).reflections:
                 assert not (x < i < y), (w, (i, j), (x, y))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_construct_for_set_matches_the_recursive_build(n):
+    def recursive(A):
+        # the wedge recursion written out, as a reference for the walk
+        if not A.members:
+            return ()
+        wedges = find_wedges(A)
+        if wedges:
+            i, j = wedges[0]
+            inner = recursive(restrict(A, (i, j)))
+            return inner + tuple((i, r) for r in range(j, i, -1))
+        inverted = invert_set(A)
+        if not find_wedges(inverted):
+            raise ValueError("no wedge on either side")
+        return tuple(reversed(recursive(inverted)))
+
+    for w in smooth_windows(n):
+        for A in (c23(w), invert_set(c23(w))):
+            assert construct_for_set(A) == recursive(A), w
 
 
 def test_construct_for_set_raises_without_any_wedge():
@@ -302,17 +323,20 @@ def test_move_graph_connected_for_all_smooth(n):
 
 
 def test_order_graph_edges_match_neighbors():
-    A = c23(parse("4321"))
-    vertices, edges = order_graph(A)
-    index = {v: i for i, v in enumerate(vertices)}
-    expect = set()
-    for v in vertices:
-        for u in elementary_neighbors(v, A):
-            a, b = index[v], index[u]
-            if a < b:
-                expect.add((a, b))
-    assert set(edges) == expect
-    assert len(vertices) == len(set(vertices))
+    # edges keep the moves landing on a listed order; elementary_neighbors
+    # keeps the moves passing the pair rule.  4321 is among the S4 windows.
+    for w in smooth_windows(4) + smooth_windows(5):
+        A = c23(w)
+        vertices, edges = order_graph(A)
+        index = {v: i for i, v in enumerate(vertices)}
+        expect = set()
+        for v in vertices:
+            for u in elementary_neighbors(v, A):
+                a, b = index[v], index[u]
+                if a < b:
+                    expect.add((a, b))
+        assert set(edges) == expect, w
+        assert len(vertices) == len(set(vertices))
 
 
 def test_order_graph_dot_is_syntactically_plausible():

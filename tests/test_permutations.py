@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import doctest
-import itertools
 
 import pytest
 from hypothesis import given, settings

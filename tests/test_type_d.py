@@ -13,7 +13,6 @@ from smoothchains.admissible import c23, is_smooth_pattern
 from smoothchains.orders import enumerate_compatible_orders
 from smoothchains.permutations import all_windows
 from smoothchains.type_d import (
-    CONJECTURE_MAX_REFLECTIONS,
     act_on_root,
     admissibility_violation_d,
     all_roots,
