@@ -34,11 +34,12 @@ from .bruhat import chain_to_dot
 from .orders import (
     DEFAULT_MAX_REFLECTIONS,
     NotSmoothError,
+    _connected,
     construct_compatible_order,
     construct_for_set,
     enumerate_compatible_orders,
-    graph_connected,
     is_compatible,
+    order_graph,
     order_graph_dot,
     order_text,
     smoothness_report,
@@ -316,10 +317,9 @@ def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dic
                     }
                 )
     elif mode == "graph-connectivity":
-        A = c23(w)
-        orders = enumerate_compatible_orders(A, cap)
-        counters["orders"] = len(orders)
-        if not graph_connected(A, cap):
+        vertices, edges = order_graph(c23(w), cap)
+        counters["orders"] = len(vertices)
+        if not _connected(len(vertices), edges):
             violations.append({"window": text, "kind": "graph-disconnected"})
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
@@ -565,7 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-reflections",
         type=int,
         default=None,
-        help="enumeration cap (default 10 for type A modes, 12 for conjecture-d)",
+        help=(
+            "enumeration cap (default 10 for type A modes, 12 for "
+            "conjecture-d, where it bounds the placed-set walk)"
+        ),
     )
     p_sweep.add_argument("--allow-large", action="store_true")
     p_sweep.add_argument("--json", action="store_true")
@@ -587,7 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     t_conj = typed_sub.add_parser("conjecture", help="run the conjecture checks")
     t_conj.add_argument("--rank", type=int, required=True)
     t_conj.add_argument(
-        "--max-reflections", type=int, default=type_d.CONJECTURE_MAX_REFLECTIONS
+        "--max-reflections",
+        type=int,
+        default=type_d.CONJECTURE_MAX_REFLECTIONS,
+        help="reflection cap per element (default 12); it bounds the placed-set walk",
     )
     t_conj.add_argument("--allow-large", action="store_true")
     t_conj.add_argument("--json", action="store_true")

@@ -17,6 +17,10 @@ admissible sets this never happens.  ``is_compatible_order`` checks the
 rule directly, ``compile_pairs`` turns it into precedence and
 betweenness constraints, and ``capped_orders`` lists every compatible
 arrangement through the engine below, refusing sets over a cap.
+``fold_orders``, under the same cap, lists nothing: it returns each
+product of a compatible arrangement with its number of arrangements.
+The type D conjecture check uses it; the type A callers and
+enumerate_compatible_orders_d still list.
 
 The engine takes a finite item set together with two constraint families:
 
@@ -37,16 +41,21 @@ arrangement extends the constraints consistently:
     down only if the middle item is down too.
 
 A completed arrangement then satisfies every constraint, so no final
-filtering pass is needed.
+filtering pass is needed.  Feasibility depends only on the set of items
+already placed, so the compatible arrangements are exactly the paths
+from the empty set to the full one through such sets; ``fold_orders``
+walks those sets instead of the paths (linear-extension counting over
+the lattice of ideals, De Loof, De Meyer and De Baets 2006).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 Item = Hashable
 # (a, b, mid, ab, ba): see the module docstring.
 Pair = tuple[Item, Item, Item | None, bool, bool]
+Product = Hashable
 
 
 def is_compatible_order(
@@ -90,6 +99,17 @@ def compile_pairs(
     return precedence, betweenness
 
 
+def _capped(items: Iterable[Item], max_items: int | None) -> list[Item]:
+    """The items sorted, or the cap refusal when there are more than max_items."""
+    items = sorted(items)
+    if max_items is not None and len(items) > max_items:
+        raise ValueError(
+            f"{len(items)} reflections exceed the enumeration cap "
+            f"{max_items}; raise max_reflections to proceed"
+        )
+    return items
+
+
 def capped_orders(
     items: Iterable[Item], pairs: Iterable[Pair], max_items: int | None
 ) -> list[tuple[Item, ...]]:
@@ -98,24 +118,53 @@ def capped_orders(
     Refuses more than max_items items (None lifts the cap) before the
     pairs are read, since the search space grows factorially.
     """
-    items = sorted(items)
-    if max_items is not None and len(items) > max_items:
-        raise ValueError(
-            f"{len(items)} reflections exceed the enumeration cap "
-            f"{max_items}; raise max_reflections to proceed"
-        )
-    return list(constrained_orders(items, *compile_pairs(pairs)))
+    return list(constrained_orders(_capped(items, max_items), *compile_pairs(pairs)))
 
 
-def constrained_orders(
+def fold_orders(
     items: Iterable[Item],
-    precedence: Iterable[tuple[Item, Item]] = (),
-    betweenness: Iterable[tuple[Item, Item, Item]] = (),
-) -> Iterator[tuple[Item, ...]]:
-    """Yield all valid arrangements of items as tuples.
+    pairs: Iterable[Pair],
+    max_items: int | None,
+    step: Callable[[Product, Item], Product],
+    start: Product,
+) -> dict[Product, int]:
+    """Products of all compatible arrangements, with how many give each.
 
-    Contradictory constraints simply yield nothing.  Constraints naming
-    unknown items are rejected.
+    Folds step over every arrangement from start without listing them:
+    each set of placed items (a bitmask) keeps every prefix product
+    reaching it with its number of prefixes, one layer of sets at a
+    time.  Returns {} when no arrangement is compatible.  The cap is
+    that of capped_orders.
+    """
+    ordered, placeable = _placement_rule(
+        _capped(items, max_items), *compile_pairs(pairs)
+    )
+    k = len(ordered)
+    layer = {0: {start: 1}}
+    for _ in range(k):
+        nxt: dict[int, dict[Product, int]] = {}
+        for placed, products in layer.items():
+            for p in range(k):
+                if (placed >> p) & 1 or not placeable(p, placed):
+                    continue
+                item = ordered[p]
+                target = nxt.setdefault(placed | (1 << p), {})
+                for x, count in products.items():
+                    y = step(x, item)
+                    target[y] = target.get(y, 0) + count
+        layer = nxt
+    return layer.get((1 << k) - 1, {})
+
+
+def _placement_rule(
+    items: Iterable[Item],
+    precedence: Iterable[tuple[Item, Item]],
+    betweenness: Iterable[tuple[Item, Item, Item]],
+) -> tuple[list[Item], Callable[[int, int], bool]]:
+    """The items sorted, and placeable(p, placed) over index bitmasks.
+
+    placeable applies the feasibility rules of the module docstring.
+    Constraints naming unknown items are rejected.
     """
     ordered = sorted(set(items))
     k = len(ordered)
@@ -142,8 +191,6 @@ def constrained_orders(
         roles[ia].append(("end", ib, im))
         roles[ib].append(("end", ia, im))
 
-    prefix: list[Item] = []
-
     def placeable(p: int, placed: int) -> bool:
         if need_before[p] & ~placed:
             return False
@@ -155,6 +202,23 @@ def constrained_orders(
                 if (placed >> x) & 1 and not (placed >> y) & 1:
                     return False
         return True
+
+    return ordered, placeable
+
+
+def constrained_orders(
+    items: Iterable[Item],
+    precedence: Iterable[tuple[Item, Item]] = (),
+    betweenness: Iterable[tuple[Item, Item, Item]] = (),
+) -> Iterator[tuple[Item, ...]]:
+    """Yield all valid arrangements of items as tuples.
+
+    Contradictory constraints simply yield nothing.  Constraints naming
+    unknown items are rejected.
+    """
+    ordered, placeable = _placement_rule(items, precedence, betweenness)
+    k = len(ordered)
+    prefix: list[Item] = []
 
     def search(placed: int) -> Iterator[tuple[Item, ...]]:
         if len(prefix) == k:
@@ -168,4 +232,3 @@ def constrained_orders(
             prefix.pop()
 
     return search(0)
-

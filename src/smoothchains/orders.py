@@ -266,12 +266,17 @@ def order_graph_dot(
 def graph_connected(
     A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> bool:
-    """Is the elementary-move graph on compatible arrangements connected?
-
-    Merges order_graph's edges in a union-find forest and counts roots.
-    """
+    """Is the elementary-move graph on compatible arrangements connected?"""
     vertices, edges = order_graph(A, max_reflections)
-    root = list(range(len(vertices)))
+    return _connected(len(vertices), edges)
+
+
+def _connected(count: int, edges: list[tuple[int, int]]) -> bool:
+    """Do the edges connect vertices 0..count-1?
+
+    Merges the edges in a union-find forest and counts roots.
+    """
+    root = list(range(count))
 
     def find(v: int) -> int:
         while root[v] != v:

@@ -13,6 +13,10 @@ compatible arrangement of its reflections, and every compatible
 arrangement multiplies back to w.  Compatibility is the pair rule of
 ordering_engine; this module only lists its summable root pairs
 (summable_pairs).
+
+check_element lists no arrangement: it folds the prefix products over
+the sets of placed reflections (fold_orders).  Listing remains in
+enumerate_compatible_orders_d, the reference for the fold.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordering_engine import capped_orders, is_compatible_order
+from .ordering_engine import capped_orders, fold_orders, is_compatible_order
 
 Root = tuple[int, ...]
 SignedWindow = tuple[int, ...]
@@ -70,6 +74,11 @@ def simple_roots(n: int) -> tuple[Root, ...]:
     return tuple(simples)
 
 
+@lru_cache(maxsize=None)
+def _positive_root_set(n: int) -> frozenset[Root]:
+    return frozenset(positive_roots(n))
+
+
 def all_roots(n: int) -> tuple[Root, ...]:
     pos = positive_roots(n)
     return tuple(sorted(pos + tuple(tuple(-c for c in a) for a in pos)))
@@ -84,7 +93,7 @@ def tuple_sub(a: Root, b: Root) -> Root:
 
 
 def is_positive_root(alpha: Root) -> bool:
-    return alpha in set(positive_roots(len(alpha)))
+    return alpha in _positive_root_set(len(alpha))
 
 
 def root_text(alpha: Root) -> str:
@@ -120,7 +129,7 @@ def parse_root(text: str, n: int) -> Root:
 
 def root_poset_covers(n: int) -> tuple[tuple[Root, Root], ...]:
     """Pairs (alpha, beta) with beta - alpha simple, sorted."""
-    pos = set(positive_roots(n))
+    pos = _positive_root_set(n)
     simples = set(simple_roots(n))
     out = [
         (a, b)
@@ -372,7 +381,7 @@ def c23_labels(n: int) -> tuple[Label, ...]:
     members, not aliases.
     """
     pos = positive_roots(n)
-    pos_set = set(pos)
+    pos_set = _positive_root_set(n)
     labels: list[Label] = [("t", a) for a in pos]
     for a in pos:
         for b in pos:
@@ -509,7 +518,7 @@ def summable_pairs(A: frozenset[Label], n: int):
     pair of reflection roots of A, in combinations order, whose sum is
     a positive root; the sum is given when its reflection is a member.
     """
-    pos_set = set(positive_roots(n))
+    pos_set = _positive_root_set(n)
     for a, b in itertools.combinations(reflection_roots(A), 2):
         gamma = tuple_add(a, b)
         if gamma in pos_set:
@@ -613,23 +622,33 @@ def check_element(
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
     cross_pair_products: bool = False,
 ) -> ConjectureElementReport:
-    """Run the three conjecture checks for one smooth element."""
+    """Run the three conjecture checks for one smooth element.
+
+    fold_orders gives the product of every compatible order without
+    listing them; its cap and refusal are enumerate_compatible_orders_d's.
+    """
     n = group.rank
     A = c23_below(group, w)
     violation = admissibility_violation_d(group, A, cross_pair_products)
     admissible = violation is None
-    orders = enumerate_compatible_orders_d(A, n, max_reflections)
-    products_ok = all(
-        product_of_root_order(order, n) == w for order in orders
+    roots = reflection_roots(A)
+    # t_alpha for each member root, built once per element
+    t = {alpha: product_of_root_order((alpha,), n) for alpha in roots}
+    products = fold_orders(
+        roots,
+        summable_pairs(A, n),
+        max_reflections,
+        lambda x, alpha: sp_compose(x, t[alpha]),
+        sp_identity(n),
     )
     return ConjectureElementReport(
         window=w,
         length=group.length_of(w),
-        reflections=len(reflection_roots(A)),
+        reflections=len(roots),
         admissible=admissible,
         admissibility_note=None if admissible else violation.describe(),
-        orders_found=len(orders),
-        products_ok=products_ok,
+        orders_found=sum(products.values()),
+        products_ok=all(x == w for x in products),
     )
 
 

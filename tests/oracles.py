@@ -154,3 +154,30 @@ def root_reflection_image(alpha, beta):
     dot_aa = sum(a * a for a in alpha)
     coeff = 2 * dot_ab // dot_aa
     return tuple(b - coeff * a for a, b in zip(alpha, beta))
+
+
+def d_reduced_word_counts(group) -> dict[tuple[int, ...], int]:
+    """Number of reduced words of every element of a type-D Weyl group.
+
+    Descent recursion: rw(e) = 1 and rw(w) is the sum of rw(ws) over
+    the simple reflections s with l(ws) = l(w) - 1, lengths counted as
+    roots sent negative.  No reflection orders involved.
+    """
+    from smoothchains.type_d import (
+        length_by_roots,
+        reflection_window,
+        simple_roots,
+        sp_compose,
+    )
+
+    n = group.rank
+    simples = [reflection_window(a, n) for a in simple_roots(n)]
+    lengths = {w: length_by_roots(w) for w in group.windows}
+    counts: dict[tuple[int, ...], int] = {}
+    for w in sorted(group.windows, key=lengths.__getitem__):
+        if lengths[w] == 0:
+            counts[w] = 1
+            continue
+        below = [sp_compose(w, s) for s in simples]
+        counts[w] = sum(counts[x] for x in below if lengths[x] == lengths[w] - 1)
+    return counts

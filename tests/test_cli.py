@@ -182,6 +182,18 @@ def test_sweep_conjecture_d_rank3(capsys):
     assert payload["simple_order"][0] == "e2-e1 rank 2"
 
 
+def test_sweep_conjecture_d_rank5_under_a_raised_cap(capsys):
+    # every smooth element of D5, w0's 20 reflections included
+    code, payload = run_json(
+        capsys,
+        "sweep", "--mode", "conjecture-d", "--rank", "5",
+        "--allow-large", "--max-reflections", "20",
+    )
+    assert code == 0
+    assert payload["counters"] == {"checked": 490, "orders": 13210910}
+    assert payload["ok"] is True
+
+
 def test_sweep_sampling_is_seeded(capsys):
     code, payload = run_json(
         capsys,

@@ -1,0 +1,69 @@
+from __future__ import annotations
+
+import pytest
+
+from smoothchains.admissible import c23, is_smooth_pattern, reflection_pairs
+from smoothchains.ordering_engine import capped_orders, fold_orders
+from smoothchains.permutations import all_windows, identity, times_transposition
+
+
+def _append(prefix, item):
+    return prefix + (item,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fold_that_records_the_order_gives_back_the_listing(n):
+    # with step = append, each arrangement is its own product, so the
+    # fold must return exactly the listed arrangements, once each
+    for w in all_windows(n):
+        if not is_smooth_pattern(w):
+            continue
+        A = c23(w)
+        listed = capped_orders(A.reflections, reflection_pairs(A), None)
+        folded = fold_orders(A.reflections, reflection_pairs(A), None, _append, ())
+        assert folded == {order: 1 for order in listed}, w
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fold_counts_products_of_smooth_windows(n):
+    # every compatible arrangement of the reflections below a smooth w
+    # multiplies back to w
+    for w in all_windows(n):
+        if not is_smooth_pattern(w):
+            continue
+        A = c23(w)
+        listed = capped_orders(A.reflections, reflection_pairs(A), None)
+        folded = fold_orders(
+            A.reflections, reflection_pairs(A), None, times_transposition, identity(n)
+        )
+        assert folded == {w: len(listed)}, w
+
+
+def test_fold_over_no_items_is_the_start():
+    assert capped_orders([], [], 0) == [()]
+    assert fold_orders([], [], 0, _append, "start") == {"start": 1}
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("a", "b", None, False, False)],  # neither product, no mid
+        [("a", "b", None, True, True)],  # both products, no mid
+        [("a", "b", None, True, False), ("b", "c", None, True, False),
+         ("a", "c", None, False, True)],  # a precedence cycle
+    ],
+)
+def test_fold_of_unsatisfiable_pairs_is_empty(pairs):
+    items = ["a", "b", "c"]
+    assert capped_orders(items, pairs, None) == []
+    assert fold_orders(items, pairs, None, _append, ()) == {}
+
+
+def test_fold_refuses_over_the_cap_as_listing_does():
+    items = ["a", "b", "c"]
+    with pytest.raises(ValueError) as listed:
+        capped_orders(items, [], 2)
+    with pytest.raises(ValueError) as folded:
+        fold_orders(items, [], 2, _append, ())
+    assert str(folded.value) == str(listed.value)
+    assert str(folded.value).startswith("3 reflections exceed the enumeration cap 2")

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothchains.type_d as type_d_mod
-from oracles import d_cover_pairs_oracle, d_downsets, root_reflection_image
+from oracles import (
+    d_cover_pairs_oracle,
+    d_downsets,
+    d_reduced_word_counts,
+    root_reflection_image,
+)
 from smoothchains.admissible import c23, is_smooth_pattern
 from smoothchains.orders import enumerate_compatible_orders
 from smoothchains.permutations import all_windows
@@ -452,6 +457,37 @@ def test_conjecture_rank4_holds():
 def test_conjecture_rank4_longest_element_order_count():
     group = weyl_group(4)
     assert check_element(group, (-1, -2, -3, -4)).orders_found == 2316
+
+
+@pytest.mark.parametrize("rank, wrong_products", [(2, 0), (3, 1), (4, 22)])
+def test_check_element_fold_matches_listing_on_every_element(rank, wrong_products):
+    # the fold must count and multiply exactly what listing gives, smooth
+    # or not; non-smooth elements supply the products_ok=False cases
+    group = weyl_group(rank)
+    wrong = 0
+    for w in group.windows:
+        orders = enumerate_compatible_orders_d(c23_below(group, w), rank)
+        products_ok = all(product_of_root_order(o, rank) == w for o in orders)
+        report = check_element(group, w)
+        assert (report.orders_found, report.products_ok) == (
+            len(orders),
+            products_ok,
+        ), w
+        wrong += not products_ok
+    assert wrong == wrong_products
+
+
+@pytest.mark.parametrize(
+    "rank, w0, words",
+    [(4, (-1, -2, -3, -4), 2316), (5, (1, -2, -3, -4, -5), 12985968)],
+)
+def test_longest_element_orders_match_reduced_word_count(rank, w0, words):
+    group = weyl_group(rank)
+    assert group.length_of(w0) == group.max_length
+    assert d_reduced_word_counts(group)[w0] == words
+    report = check_element(group, w0, max_reflections=None)
+    assert report.orders_found == words
+    assert report.ok
 
 
 def test_cross_pair_product_axiom_fails_on_rank4():
