@@ -118,7 +118,6 @@ def invert_element(elem: Element) -> Element:
     return (_INVERSE_KIND[kind], *idx)
 
 
-@lru_cache(maxsize=None)
 def realize(elem: Element, n: int) -> Window:
     """The element as a window of degree n."""
     validate_element(elem, n)
@@ -299,7 +298,7 @@ def admissibility_violation(A: AdmissibleSet) -> AdmissibilityViolation | None:
     # (b): an R and an L sharing outer indices force the long reflection.
     r_outer = {}
     l_outer = {}
-    for e in A.members:
+    for e in A.sorted_members():
         if e[0] == "R":
             r_outer.setdefault((e[1], e[3]), e)
         elif e[0] == "L":

@@ -5,7 +5,8 @@ summable reflection pairs, the two-root condition of Dyer's reflection
 orders.  A type only lists its pairs (a, b, mid, ab, ba): two reflections
 whose roots sum to a root, mid the sum's reflection when it is a member
 of the set (else None), ab and ba whether the products t_a t_b and
-t_b t_a are members.  An arrangement is compatible when, for every pair,
+t_b t_a are members.  The pairs are the only input of this module.  An
+arrangement is compatible when, for every pair,
 
   * if mid is given, it sits strictly between a and b (either
     orientation);
@@ -14,38 +15,29 @@ t_b t_a are members.  An arrangement is compatible when, for every pair,
 
 Neither or both products without mid make the rule unsatisfiable; on
 admissible sets this never happens.  ``is_compatible_order`` checks the
-rule directly, ``compile_pairs`` turns it into precedence and
-betweenness constraints, and ``capped_orders`` lists every compatible
-arrangement through the engine below, refusing sets over a cap.
-``fold_orders``, under the same cap, lists nothing: it returns each
-product of a compatible arrangement with its number of arrangements.
-The type D conjecture check uses it; the type A callers and
-enumerate_compatible_orders_d still list.
+rule on one arrangement.  ``_placement_rule`` compiles the pairs once
+into a test of which item may be placed next:
 
-The engine takes a finite item set together with two constraint families:
+  * an item must wait for every item the rule puts before it (a pair
+    without mid puts one end before the other, or both ends before each
+    other when the rule is unsatisfiable);
+  * a mid can be placed only when exactly one end of its pair is down;
+  * an end can be placed while the other end is down only if the mid
+    is down too.
 
-  * precedence (u, v): u must appear before v;
-  * betweenness (a, m, b): m must appear strictly between a and b, in
-    either orientation.
-
-It yields every arrangement satisfying all constraints, depth first over
-items in sorted order, so the output sequence is deterministic.
-
-Placement feasibility is arranged so that every prefix of a partial
-arrangement extends the constraints consistently:
-
-  * an item with an unplaced predecessor cannot be placed;
-  * the middle item of a betweenness triple can be placed only when
-    exactly one endpoint is already placed;
-  * an endpoint can be placed while the opposite endpoint is already
-    down only if the middle item is down too.
-
-A completed arrangement then satisfies every constraint, so no final
-filtering pass is needed.  Feasibility depends only on the set of items
-already placed, so the compatible arrangements are exactly the paths
-from the empty set to the full one through such sets; ``fold_orders``
-walks those sets instead of the paths (linear-extension counting over
-the lattice of ideals, De Loof, De Meyer and De Baets 2006).
+Every prefix built this way extends to the rule consistently, so a
+completed arrangement is compatible and no final filtering pass is
+needed.  ``constrained_orders`` yields every compatible arrangement,
+depth first over items in sorted order, so the output sequence is
+deterministic; ``capped_orders`` lists them, refusing sets over a cap.
+Placement depends only on the set of items already placed, so the
+compatible arrangements are exactly the paths from the empty set to
+the full one through such sets.  ``fold_orders``, under the same cap,
+walks those sets instead of the paths and returns each product of a
+compatible arrangement with its number of arrangements
+(linear-extension counting over the lattice of ideals, De Loof, De
+Meyer and De Baets 2006).  The type D conjecture check uses it; the
+type A callers and enumerate_compatible_orders_d still list.
 """
 
 from __future__ import annotations
@@ -61,7 +53,7 @@ Product = Hashable
 def is_compatible_order(
     order: tuple[Item, ...], items: Iterable[Item], pairs: Iterable[Pair]
 ) -> bool:
-    """Check the pair rule directly; the reference for compile_pairs.
+    """Check the pair rule on one arrangement; the reference for the search.
 
     The arrangement must use exactly the given items.
     """
@@ -76,27 +68,6 @@ def is_compatible_order(
         elif ab == ba or ab != (pa < pb):
             return False
     return True
-
-
-def compile_pairs(
-    pairs: Iterable[Pair],
-) -> tuple[list[tuple[Item, Item]], list[tuple[Item, Item, Item]]]:
-    """Precedence and betweenness constraints equivalent to the pair rule.
-
-    A pair with neither or both products and no mid gets both
-    precedences, so the constraints are unsatisfiable on purpose.
-    """
-    precedence = []
-    betweenness = []
-    for a, b, mid, ab, ba in pairs:
-        if mid is not None:
-            betweenness.append((a, mid, b))
-            continue
-        if ab or not ba:
-            precedence.append((a, b))
-        if ba or not ab:
-            precedence.append((b, a))
-    return precedence, betweenness
 
 
 def _capped(items: Iterable[Item], max_items: int | None) -> list[Item]:
@@ -118,7 +89,7 @@ def capped_orders(
     Refuses more than max_items items (None lifts the cap) before the
     pairs are read, since the search space grows factorially.
     """
-    return list(constrained_orders(_capped(items, max_items), *compile_pairs(pairs)))
+    return list(constrained_orders(_capped(items, max_items), pairs))
 
 
 def fold_orders(
@@ -136,9 +107,7 @@ def fold_orders(
     time.  Returns {} when no arrangement is compatible.  The cap is
     that of capped_orders.
     """
-    ordered, placeable = _placement_rule(
-        _capped(items, max_items), *compile_pairs(pairs)
-    )
+    ordered, placeable = _placement_rule(_capped(items, max_items), pairs)
     k = len(ordered)
     layer = {0: {start: 1}}
     for _ in range(k):
@@ -157,39 +126,38 @@ def fold_orders(
 
 
 def _placement_rule(
-    items: Iterable[Item],
-    precedence: Iterable[tuple[Item, Item]],
-    betweenness: Iterable[tuple[Item, Item, Item]],
+    items: Iterable[Item], pairs: Iterable[Pair]
 ) -> tuple[list[Item], Callable[[int, int], bool]]:
     """The items sorted, and placeable(p, placed) over index bitmasks.
 
-    placeable applies the feasibility rules of the module docstring.
-    Constraints naming unknown items are rejected.
+    placeable applies the placement rules of the module docstring.
+    Pairs naming unknown or repeated items are rejected.
     """
     ordered = sorted(set(items))
     k = len(ordered)
     pos = {item: p for p, item in enumerate(ordered)}
 
     need_before = [0] * k  # bitmask of items that must precede item p
-    for u, v in precedence:
-        if u not in pos or v not in pos:
-            raise ValueError(f"precedence ({u!r}, {v!r}) names unknown items")
-        if u == v:
-            raise ValueError(f"precedence pair repeats item {u!r}")
-        need_before[pos[v]] |= 1 << pos[u]
-
-    # For each item, the betweenness roles it plays: ("mid", a, b) or
-    # ("end", other_end, mid), all as indices.
+    # For each item, the roles it plays in pairs with a mid: ("mid", a, b)
+    # or ("end", other_end, mid), all as indices.
     roles: list[list[tuple[str, int, int]]] = [[] for _ in range(k)]
-    for a, m, b in betweenness:
-        if a not in pos or m not in pos or b not in pos:
-            raise ValueError(f"betweenness ({a!r}, {m!r}, {b!r}) names unknown items")
-        ia, im, ib = pos[a], pos[m], pos[b]
-        if len({ia, im, ib}) != 3:
-            raise ValueError(f"betweenness ({a!r}, {m!r}, {b!r}) repeats an item")
-        roles[im].append(("mid", ia, ib))
-        roles[ia].append(("end", ib, im))
-        roles[ib].append(("end", ia, im))
+    for a, b, mid, ab, ba in pairs:
+        named = (a, b) if mid is None else (a, b, mid)
+        if any(x not in pos for x in named):
+            raise ValueError(f"pair {named!r} names unknown items")
+        if len(set(named)) != len(named):
+            raise ValueError(f"pair {named!r} repeats an item")
+        ia, ib = pos[a], pos[b]
+        if mid is not None:
+            im = pos[mid]
+            roles[im].append(("mid", ia, ib))
+            roles[ia].append(("end", ib, im))
+            roles[ib].append(("end", ia, im))
+            continue
+        if ab or not ba:
+            need_before[ib] |= 1 << ia
+        if ba or not ab:
+            need_before[ia] |= 1 << ib
 
     def placeable(p: int, placed: int) -> bool:
         if need_before[p] & ~placed:
@@ -207,16 +175,14 @@ def _placement_rule(
 
 
 def constrained_orders(
-    items: Iterable[Item],
-    precedence: Iterable[tuple[Item, Item]] = (),
-    betweenness: Iterable[tuple[Item, Item, Item]] = (),
+    items: Iterable[Item], pairs: Iterable[Pair]
 ) -> Iterator[tuple[Item, ...]]:
-    """Yield all valid arrangements of items as tuples.
+    """Yield every arrangement of items that the pair rule allows.
 
-    Contradictory constraints simply yield nothing.  Constraints naming
-    unknown items are rejected.
+    Unsatisfiable pairs simply yield nothing.  Pairs naming unknown
+    items are rejected.
     """
-    ordered, placeable = _placement_rule(items, precedence, betweenness)
+    ordered, placeable = _placement_rule(items, pairs)
     k = len(ordered)
     prefix: list[Item] = []
 

@@ -37,7 +37,7 @@ from .admissible import (
     reflection_pairs,
     smoothness_witness,
 )
-from .ordering_engine import capped_orders, compile_pairs, is_compatible_order
+from .ordering_engine import capped_orders, is_compatible_order
 from .permutations import (
     Transposition,
     Window,
@@ -63,11 +63,6 @@ def order_text(order: ReflectionOrder) -> str:
 def is_compatible(order: ReflectionOrder, A: AdmissibleSet) -> bool:
     """Check the pair rule; the arrangement must use exactly A's reflections."""
     return is_compatible_order(order, A.reflections, reflection_pairs(A))
-
-
-def compile_constraints(A: AdmissibleSet):
-    """Precedence and betweenness constraints equivalent to is_compatible."""
-    return compile_pairs(reflection_pairs(A))
 
 
 def enumerate_compatible_orders(

@@ -10,9 +10,13 @@ The conjecture under test: for smooth w (palindromic lower interval,
 which in this simply laced type is smoothness), the set of reflections
 and ordered two-reflection products below w is admissible, admits a
 compatible arrangement of its reflections, and every compatible
-arrangement multiplies back to w.  Compatibility is the pair rule of
-ordering_engine; this module only lists its summable root pairs
-(summable_pairs).
+arrangement multiplies back to w.  The summable root pairs of a set
+(summable_pairs) are all this module hands ordering_engine, whose pair
+rule is compatibility; the two pair axioms of admissibility are read
+off the same pairs.  The product axiom is the same-decomposition rule:
+t_a t_b and t_b t_a both in A force t_{a+b}.  (Type A's cycle-pair
+axiom is the cross-decomposition rule; its type D analogue fails on
+smooth elements of rank 4.)
 
 check_element lists no arrangement: it folds the prefix products over
 the sets of placed reflections (fold_orders).  Listing remains in
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ordering_engine import capped_orders, fold_orders, is_compatible_order
 
@@ -33,6 +37,8 @@ Label = tuple  # ("t", alpha) | ("tt", alpha, beta)
 
 DEFAULT_RANK_LIMIT = 5
 CONJECTURE_MAX_REFLECTIONS = 12
+# the product axiom admissibility_violation_d checks, named in reports
+PRODUCT_PAIR_RULE = "same-decomposition orientations"
 
 
 # ---------------------------------------------------------------- roots
@@ -336,6 +342,14 @@ class WeylGroupD:
     def __len__(self) -> int:
         return len(self.windows)
 
+    @cached_property
+    def label_ids(self) -> dict[Label, int]:
+        """The element id realizing each label of c23_labels."""
+        return {
+            lab: self.index[realize_label(lab, self.rank)]
+            for lab in c23_labels(self.rank)
+        }
+
     def length_of(self, w: SignedWindow) -> int:
         return self.lengths[self.index[w]]
 
@@ -398,7 +412,6 @@ def c23_labels(n: int) -> tuple[Label, ...]:
     return tuple(sorted(labels))
 
 
-@lru_cache(maxsize=None)
 def realize_label(label: Label, n: int) -> SignedWindow:
     kind = label[0]
     if kind == "t":
@@ -418,22 +431,8 @@ def label_text(label: Label) -> str:
 
 def c23_below(group: WeylGroupD, w: SignedWindow) -> frozenset[Label]:
     """Labels whose realization lies below w in Bruhat order."""
-    n = group.rank
-    return frozenset(
-        lab for lab in c23_labels(n) if group.leq(realize_label(lab, n), w)
-    )
-
-
-def _label_below_map(group: WeylGroupD) -> dict[Label, frozenset[Label]]:
-    cache = getattr(group, "_label_below", None)
-    if cache is None:
-        labels = c23_labels(group.rank)
-        cache = {
-            lab: c23_below(group, realize_label(lab, group.rank))
-            for lab in labels
-        }
-        group._label_below = cache
-    return cache
+    mask = group.below[group.index[w]]
+    return frozenset(lab for lab, i in group.label_ids.items() if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -447,62 +446,38 @@ class AdmissibilityViolationD:
 
 
 def admissibility_violation_d(
-    group: WeylGroupD, A: frozenset[Label], cross_pair_products: bool = False
+    group: WeylGroupD, A: frozenset[Label]
 ) -> AdmissibilityViolationD | None:
     """First failed axiom of the conjectured admissibility, or None.
 
-    The product axiom forces the sum's reflection into A when A holds
-    both orientations t_a t_b and t_b t_a of one summable pair.  With
-    cross_pair_products=True the stronger variant is checked instead:
-    two products with the same sum whose left factors sit on opposite
-    sides of the leading-simple comparison force the sum's reflection
-    even when they decompose the sum differently.  The exhaustive rank 4
-    run refutes that variant on smooth lower sets (see the tests), so
-    the single-pair form is the default.
+    After closure, both pair axioms are read off summable_pairs: a pair
+    with both orientations t_a t_b, t_b t_a in A but not t_{a+b} fails
+    product-pair, and a pair with neither orientation fails
+    reflection-pair.  Closure puts t_a and t_b in A whenever t_a t_b is
+    there, so every product in A belongs to a listed pair.
     """
-    below = _label_below_map(group)
+    ids = group.label_ids
+    ground = sum(1 << i for i in ids.values())
+    members = sum(1 << ids[lab] for lab in A)
     for lab in sorted(A):
-        missing = below[lab] - A
+        missing = group.below[ids[lab]] & ground & ~members
         if missing:
-            return AdmissibilityViolationD("closure", (lab, min(missing)))
-    if cross_pair_products:
-        desc: dict[Root, Label] = {}
-        asc: dict[Root, Label] = {}
-        for lab in sorted(A):
-            if lab[0] != "tt":
-                continue
-            _, a, b = lab
-            gamma = tuple_add(a, b)
-            if simple_precedes(leading_simple(b), leading_simple(a)):
-                desc.setdefault(gamma, lab)
-            else:
-                asc.setdefault(gamma, lab)
-        for gamma in sorted(set(desc) & set(asc)):
-            if ("t", gamma) not in A:
-                return AdmissibilityViolationD(
-                    "product-pair", (desc[gamma], asc[gamma], ("t", gamma))
-                )
-    else:
-        for lab in sorted(A):
-            if lab[0] != "tt":
-                continue
-            _, a, b = lab
-            if a < b and ("tt", b, a) in A:
-                gamma = tuple_add(a, b)
-                if ("t", gamma) not in A:
-                    return AdmissibilityViolationD(
-                        "product-pair", (lab, ("tt", b, a), ("t", gamma))
-                    )
-    for a, b, _, ab, ba in summable_pairs(A, group.rank):
+            culprit = min(x for x, i in ids.items() if missing >> i & 1)
+            return AdmissibilityViolationD("closure", (lab, culprit))
+    pairs = list(summable_pairs(A, group.rank))
+    for a, b, mid, ab, ba in pairs:
+        if ab and ba and mid is None:
+            return AdmissibilityViolationD(
+                "product-pair", (("tt", a, b), ("tt", b, a), ("t", tuple_add(a, b)))
+            )
+    for a, b, _, ab, ba in pairs:
         if not ab and not ba:
             return AdmissibilityViolationD("reflection-pair", (("t", a), ("t", b)))
     return None
 
 
-def is_admissible_d(
-    group: WeylGroupD, A: frozenset[Label], cross_pair_products: bool = False
-) -> bool:
-    return admissibility_violation_d(group, A, cross_pair_products) is None
+def is_admissible_d(group: WeylGroupD, A: frozenset[Label]) -> bool:
+    return admissibility_violation_d(group, A) is None
 
 
 # ------------------------------------------------- compatible arrangements
@@ -620,7 +595,6 @@ def check_element(
     group: WeylGroupD,
     w: SignedWindow,
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
-    cross_pair_products: bool = False,
 ) -> ConjectureElementReport:
     """Run the three conjecture checks for one smooth element.
 
@@ -629,7 +603,7 @@ def check_element(
     """
     n = group.rank
     A = c23_below(group, w)
-    violation = admissibility_violation_d(group, A, cross_pair_products)
+    violation = admissibility_violation_d(group, A)
     admissible = violation is None
     roots = reflection_roots(A)
     # t_alpha for each member root, built once per element
@@ -656,15 +630,11 @@ def verify_conjecture_d(
     rank: int,
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
     limit: int = DEFAULT_RANK_LIMIT,
-    cross_pair_products: bool = False,
 ) -> ConjectureReport:
     """Check the conjecture on every smooth element of the rank-n group."""
     group = weyl_group(rank, limit)
     smooth = [w for w in group.windows if group.is_smooth(w)]
-    elements = [
-        check_element(group, w, max_reflections, cross_pair_products)
-        for w in smooth
-    ]
+    elements = [check_element(group, w, max_reflections) for w in smooth]
     counterexamples = tuple(e.window for e in elements if not e.ok)
     return ConjectureReport(
         rank=rank,
@@ -672,10 +642,7 @@ def verify_conjecture_d(
         smooth_count=len(smooth),
         checked=len(elements),
         simple_order=simple_order_config(rank),
-        product_pair_rule=(
-            "cross-decomposition" if cross_pair_products
-            else "same-decomposition orientations"
-        ),
+        product_pair_rule=PRODUCT_PAIR_RULE,
         elements=tuple(elements),
         counterexamples=counterexamples,
     )

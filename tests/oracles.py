@@ -181,3 +181,61 @@ def d_reduced_word_counts(group) -> dict[tuple[int, ...], int]:
         below = [sp_compose(w, s) for s in simples]
         counts[w] = sum(counts[x] for x in below if lengths[x] == lengths[w] - 1)
     return counts
+
+
+@lru_cache(maxsize=None)
+def d_label_ideals(group) -> dict:
+    """Each c23 label with the labels whose realization lies below its own."""
+    from smoothchains.type_d import c23_labels, realize_label
+
+    n = group.rank
+    window = {lab: realize_label(lab, n) for lab in c23_labels(n)}
+    return {
+        lab: frozenset(x for x in window if group.leq(window[x], top))
+        for lab, top in window.items()
+    }
+
+
+def d_admissibility_violation_by_labels(group, A, cross_pair_products=False):
+    """(axiom, witness) of the first failed type D axiom, or None.
+
+    Scans labels rather than summable pairs: closure, then the product
+    axiom over ("tt", a, b) members, then the reflection-pair axiom.
+    The product axiom asks, by default, for t[a+b] when both
+    orientations t_a t_b and t_b t_a are members.  With
+    cross_pair_products it asks for it whenever two products with sum
+    gamma have left factors on opposite sides of the leading-simple
+    comparison, even when they decompose gamma differently; rank 4
+    refutes that variant on smooth elements.
+    """
+    from smoothchains.type_d import (
+        leading_simple,
+        simple_precedes,
+        summable_pairs,
+        tuple_add,
+    )
+
+    for lab in sorted(A):
+        missing = d_label_ideals(group)[lab] - A
+        if missing:
+            return ("closure", (lab, min(missing)))
+    products = [lab for lab in sorted(A) if lab[0] == "tt"]
+    if cross_pair_products:
+        desc, asc = {}, {}
+        for lab in products:
+            _, a, b = lab
+            side = desc if simple_precedes(leading_simple(b), leading_simple(a)) else asc
+            side.setdefault(tuple_add(a, b), lab)
+        for gamma in sorted(set(desc) & set(asc)):
+            if ("t", gamma) not in A:
+                return ("product-pair", (desc[gamma], asc[gamma], ("t", gamma)))
+    else:
+        for lab in products:
+            _, a, b = lab
+            gamma = tuple_add(a, b)
+            if a < b and ("tt", b, a) in A and ("t", gamma) not in A:
+                return ("product-pair", (lab, ("tt", b, a), ("t", gamma)))
+    for a, b, _, ab, ba in summable_pairs(A, group.rank):
+        if not ab and not ba:
+            return ("reflection-pair", (("t", a), ("t", b)))
+    return None

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import doctest
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +292,26 @@ def test_cycle_pair_violation():
     v = admissibility_violation(make_set(n, members))
     assert v is not None and v.axiom == "cycle-pair"
     assert ("T", 1, 4) in v.witness
+
+
+CYCLE_PAIR_WITNESS_SCRIPT = """
+from smoothchains.admissible import admissibility_violation, c23, make_set, realize
+seeds = [("R", 1, 2, 5), ("R", 1, 3, 5), ("R", 1, 4, 5), ("L", 1, 3, 5)]
+members = set().union(*(c23(realize(e, 5)).members for e in seeds))
+print(admissibility_violation(make_set(5, members)).describe())
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_cycle_pair_witness_does_not_depend_on_the_hash_seed(seed):
+    # three R(1,*,5) pair with L(1,3,5); the witness is the first in
+    # member order, whatever order the frozenset iterates in
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    out = subprocess.run(
+        [sys.executable, "-c", CYCLE_PAIR_WITNESS_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "axiom cycle-pair fails at R(1,2,5), L(1,3,5), T(1,5)\n"
 
 
 def test_empty_set_is_admissible():

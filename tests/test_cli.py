@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -258,6 +259,27 @@ def test_sweep_json_is_byte_identical_across_runs():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["typed", "conjecture", "--rank", "4", "--json"],
+        ["sweep", "--mode", "conjecture-d", "--rank", "4", "--workers", "2", "--json"],
+    ],
+)
+def test_type_d_json_is_byte_identical_across_hash_seeds(argv):
+    runs = [
+        subprocess.run(
+            CLI + argv,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        )
+        for seed in ("1", "2")
+    ]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout
 
 
 # --------------------------------------------------------------- typed

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import smoothchains.type_d as type_d_mod
 from oracles import (
+    d_admissibility_violation_by_labels,
     d_cover_pairs_oracle,
     d_downsets,
+    d_label_ideals,
     d_reduced_word_counts,
     root_reflection_image,
 )
@@ -399,6 +401,28 @@ def test_admissibility_violation_reports_reflection_pair():
     assert v is not None and v.axiom == "reflection-pair"
 
 
+@pytest.mark.parametrize("rank, violating", [(2, 0), (3, 26), (4, 527), (5, 1087)])
+def test_pair_axioms_match_the_label_scan(rank, violating):
+    # the pair-based check gives the label scan's axiom and witness on
+    # the set below every element, and at ranks 3 and 4 on every union
+    # of two principal label ideals
+    group = weyl_group(rank)
+    sets = [c23_below(group, w) for w in group.windows]
+    if rank in (3, 4):
+        ideals = d_label_ideals(group)
+        sets += [
+            ideals[a] | ideals[b]
+            for a, b in itertools.combinations(c23_labels(rank), 2)
+        ]
+    found = 0
+    for A in sets:
+        v = admissibility_violation_d(group, A)
+        expect = d_admissibility_violation_by_labels(group, A)
+        assert (v and (v.axiom, v.witness)) == expect, sorted(A)
+        found += v is not None
+    assert found == violating
+
+
 # ------------------------------------------------------- compatibility
 
 def test_compatible_orders_verify_products_on_d3():
@@ -491,18 +515,26 @@ def test_longest_element_orders_match_reduced_word_count(rank, w0, words):
 
 
 def test_cross_pair_product_axiom_fails_on_rank4():
-    # the strict cross-decomposition product axiom has exactly 18 smooth
-    # counterexamples at rank 4; the relaxed default has none
-    report = verify_conjecture_d(4, cross_pair_products=True)
-    assert not report.ok
-    assert len(report.counterexamples) == 18
-    assert (-2, 1, -3, 4) in report.counterexamples
-    assert (-3, 2, 1, -4) in report.counterexamples
-    assert report.product_pair_rule == "cross-decomposition"
-    for e in report.elements:
-        if not e.ok:
-            assert e.admissibility_note.startswith("axiom product-pair")
-            assert e.orders_found > 0 and e.products_ok
+    # the strict cross-decomposition product axiom, kept as an oracle,
+    # has exactly 18 smooth counterexamples at rank 4; each passes the
+    # same-decomposition rule the library checks
+    group = weyl_group(4)
+    counterexamples = []
+    for w in group.windows:
+        if not group.is_smooth(w):
+            continue
+        v = d_admissibility_violation_by_labels(
+            group, c23_below(group, w), cross_pair_products=True
+        )
+        if v is not None:
+            counterexamples.append(w)
+            assert v[0] == "product-pair", w
+            e = check_element(group, w)
+            assert e.ok and e.orders_found > 0 and e.products_ok, w
+    assert len(counterexamples) == 18
+    assert (-2, 1, -3, 4) in counterexamples
+    assert (-3, 2, 1, -4) in counterexamples
+    assert verify_conjecture_d(4).product_pair_rule == "same-decomposition orientations"
 
 
 def test_conjecture_rank_guard():
