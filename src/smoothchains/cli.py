@@ -8,7 +8,7 @@ Four commands:
   typed ...          type D root system, smoothness, and conjecture runs
 
 JSON output (--json) is stable: fixed schema ids, sorted keys, no
-timestamps, and worker partitioning that merges in a fixed order, so
+timestamps, and sweep results that merge in population order, so
 identical inputs and settings give byte-identical reports.
 """
 
@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
+from contextlib import nullcontext
+from functools import partial
 from multiprocessing import Pool
 
 from . import type_d
@@ -70,14 +73,23 @@ class CliError(Exception):
     """Usage or refusal error; maps to exit code 2."""
 
 
-def _guard_size(noun: str, size: int, hard: int, soft: int, allow_large: bool) -> None:
-    """Refuse sizes over the hard limit, and over the soft cap without --allow-large."""
+def _guard_size(noun: str, size: int, hard: int, soft=math.inf, allow_large=False) -> None:
+    """Refuse sizes below 1, over the hard limit, or over the soft cap without --allow-large."""
+    if size < 1:
+        raise CliError(f"{noun} {size} is below the minimum 1")
     if size > hard:
         raise CliError(f"{noun} {size} exceeds the supported limit {hard}")
     if size > soft and not allow_large:
         raise CliError(
             f"{noun} {size} runs are expensive; pass --allow-large to confirm"
         )
+
+
+def _cap(max_reflections: int) -> int:
+    """The --max-reflections value, refused when negative."""
+    if max_reflections < 0:
+        raise CliError(f"--max-reflections {max_reflections} is negative")
+    return max_reflections
 
 
 def _emit(payload: dict, as_json: bool, render) -> None:
@@ -146,7 +158,7 @@ def _write_order_file(path: str, arrangement) -> None:
 
 def _cmd_order(args) -> int:
     w = parse(args.perm)
-    cap = args.max_reflections
+    cap = _cap(args.max_reflections)
     payload: dict = {
         "schema": "smoothchains.order.v1",
         "window": format_window(w),
@@ -326,48 +338,6 @@ def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dic
     return counters, violations
 
 
-def _merge_counters(total: dict, part: dict) -> None:
-    for key, val in part.items():
-        total[key] = total.get(key, 0) + val
-
-
-def _chunk_worker(task) -> tuple[dict, list[dict]]:
-    mode, windows, cap = task
-    counters: dict = {}
-    violations: list[dict] = []
-    for w in windows:
-        part, viol = _check_window(mode, w, cap)
-        _merge_counters(counters, part)
-        violations.extend(viol)
-    return counters, violations
-
-
-def _split_chunks(population: list, workers: int) -> list[list]:
-    workers = max(1, min(workers, len(population) or 1))
-    size, extra = divmod(len(population), workers)
-    chunks = []
-    start = 0
-    for k in range(workers):
-        stop = start + size + (1 if k < extra else 0)
-        chunks.append(population[start:stop])
-        start = stop
-    return [c for c in chunks if c]
-
-
-def _run_chunked(tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        results = [_chunk_worker(t) for t in tasks]
-    else:
-        with Pool(processes=workers) as pool:
-            results = pool.map(_chunk_worker, tasks)
-    counters: dict = {}
-    violations: list[dict] = []
-    for part, viol in results:
-        _merge_counters(counters, part)
-        violations.extend(viol)
-    return counters, violations
-
-
 def _cmd_sweep(args) -> int:
     mode = args.mode
     workers = args.workers
@@ -382,6 +352,7 @@ def _cmd_sweep(args) -> int:
             if mode == "conjecture-d"
             else DEFAULT_MAX_REFLECTIONS
         )
+    cap = _cap(cap)
 
     payload: dict = {
         "schema": "smoothchains.sweep.v1",
@@ -412,11 +383,25 @@ def _cmd_sweep(args) -> int:
         payload.update({"rank": None, "degree": n})
     population = _population(mode, n)
     if args.sample is not None:
+        if not 1 <= args.sample <= len(population):
+            raise CliError(f"--sample {args.sample} is outside 1..{len(population)}")
         drawn = set(random.Random(args.seed).sample(population, args.sample))
         population = [w for w in population if w in drawn]
     payload["population"] = len(population)
-    tasks = [(mode, chunk, cap) for chunk in _split_chunks(population, workers)]
-    counters, violations = _run_chunked(tasks, workers)
+
+    check = partial(_check_window, mode, cap=cap)
+    counters: dict = {}
+    violations: list[dict] = []
+    with Pool(min(workers, len(population))) if workers > 1 else nullcontext() as pool:
+        results = (
+            map(check, population)
+            if pool is None
+            else pool.imap(check, population, math.ceil(len(population) / workers))
+        )
+        for part, found in results:
+            for key, val in part.items():
+                counters[key] = counters.get(key, 0) + val
+            violations.extend(found)
 
     payload["counters"] = counters
     payload["violations"] = violations
@@ -445,6 +430,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_typed(args) -> int:
     if args.subcommand == "roots":
         n = args.rank
+        _guard_size("rank", n, type_d.DEFAULT_RANK_LIMIT)
         payload = {
             "schema": "smoothchains.roots.v1",
             "rank": n,
@@ -473,6 +459,7 @@ def _cmd_typed(args) -> int:
 
     if args.subcommand == "smooth":
         w = type_d.sp_parse(args.window)
+        _guard_size("rank", len(w), type_d.DEFAULT_RANK_LIMIT)
         group = type_d.weyl_group(len(w))
         counts = group.interval_rank_counts(w)
         payload = {
@@ -497,7 +484,7 @@ def _cmd_typed(args) -> int:
     if args.subcommand == "conjecture":
         rank = args.rank
         _guard_size("rank", rank, type_d.DEFAULT_RANK_LIMIT, CONJECTURE_RANK_SOFT_CAP, args.allow_large)
-        report = type_d.verify_conjecture_d(rank, args.max_reflections)
+        report = type_d.verify_conjecture_d(rank, _cap(args.max_reflections))
         payload = {
             "schema": "smoothchains.conjecture.v1",
             **report.to_dict(),

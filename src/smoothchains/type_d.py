@@ -146,44 +146,12 @@ def root_poset_covers(n: int) -> tuple[tuple[Root, Root], ...]:
     return tuple(sorted(out))
 
 
-def leading_simple(alpha: Root) -> Root:
-    """The simple root attached to a positive root by its top coordinate.
-
-    e_j - e_i and e_j + e_i both map to e_j - e_{j-1}, except that
-    e_2 + e_1 maps to itself.
-    """
-    n = len(alpha)
-    support = sorted(i + 1 for i, c in enumerate(alpha) if c)
-    if len(support) != 2 or not is_positive_root(alpha):
-        raise ValueError(f"not a positive type D root: {alpha}")
-    i, j = support
-    if alpha[i - 1] == 1 and (j, i) == (2, 1):
-        return tuple_add(_basis(n, 2), _basis(n, 1))
-    return tuple_sub(_basis(n, j), _basis(n, j - 1))
-
-
 def simple_rank(alpha: Root) -> int:
     """Comparison rank of a simple root: j for e_j - e_{j-1}, 2 for e_2 + e_1."""
     support = [i + 1 for i, c in enumerate(alpha) if c]
     if len(support) != 2:
         raise ValueError(f"not a type D simple root: {alpha}")
     return max(support)
-
-
-def simple_precedes(a: Root, b: Root) -> bool:
-    """Strict comparison of simple roots by rank.
-
-    Distinct simples of equal rank (e_2 - e_1 versus e_2 + e_1) are
-    incomparable by design; asking about them raises, and the structure
-    of the root system keeps such comparisons from ever being needed:
-    summable positive roots have distinct leading simples.
-    """
-    ra, rb = simple_rank(a), simple_rank(b)
-    if a != b and ra == rb:
-        raise ValueError(
-            f"incomparable simple roots {root_text(a)} and {root_text(b)}"
-        )
-    return ra < rb
 
 
 # --------------------------------------------- signed window arithmetic
@@ -284,12 +252,11 @@ class WeylGroupD:
     Downset bitmasks are accumulated along cover edges in length order.
     """
 
-    def __init__(self, rank: int, limit: int = DEFAULT_RANK_LIMIT):
+    def __init__(self, rank: int):
         _check_rank(rank)
-        if rank > limit:
+        if rank > DEFAULT_RANK_LIMIT:
             raise ValueError(
-                f"rank {rank} exceeds the group-size limit {limit}; "
-                f"pass a higher limit explicitly to proceed"
+                f"rank {rank} exceeds the group-size limit {DEFAULT_RANK_LIMIT}"
             )
         self.rank = rank
         gens = [reflection_window(a, rank) for a in simple_roots(rank)]
@@ -379,8 +346,8 @@ class WeylGroupD:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(rank: int, limit: int = DEFAULT_RANK_LIMIT) -> WeylGroupD:
-    return WeylGroupD(rank, limit)
+def weyl_group(rank: int) -> WeylGroupD:
+    return WeylGroupD(rank)
 
 
 # ------------------------------------------- ground set and admissibility
@@ -629,10 +596,9 @@ def check_element(
 def verify_conjecture_d(
     rank: int,
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
-    limit: int = DEFAULT_RANK_LIMIT,
 ) -> ConjectureReport:
     """Check the conjecture on every smooth element of the rank-n group."""
-    group = weyl_group(rank, limit)
+    group = weyl_group(rank)
     smooth = [w for w in group.windows if group.is_smooth(w)]
     elements = [check_element(group, w, max_reflections) for w in smooth]
     counterexamples = tuple(e.window for e in elements if not e.ok)

@@ -196,6 +196,42 @@ def d_label_ideals(group) -> dict:
     }
 
 
+def leading_simple(alpha):
+    """The simple root attached to a positive type D root by its top coordinate.
+
+    e_j - e_i and e_j + e_i both map to e_j - e_{j-1}, except that
+    e_2 + e_1 maps to itself.
+    """
+    from smoothchains.type_d import is_positive_root
+
+    if not is_positive_root(alpha):
+        raise ValueError(f"not a positive type D root: {alpha}")
+    i, j = (k + 1 for k, c in enumerate(alpha) if c)
+    if (i, j) == (1, 2) and alpha[0] == 1:
+        return alpha
+    out = [0] * len(alpha)
+    out[j - 2], out[j - 1] = -1, 1
+    return tuple(out)
+
+
+def simple_precedes(a, b) -> bool:
+    """Strict comparison of simple roots by rank.
+
+    Distinct simples of equal rank (e_2 - e_1 versus e_2 + e_1) are
+    incomparable by design; asking about them raises, and the structure
+    of the root system keeps such comparisons from ever being needed:
+    summable positive roots have distinct leading simples.
+    """
+    from smoothchains.type_d import root_text, simple_rank
+
+    ra, rb = simple_rank(a), simple_rank(b)
+    if a != b and ra == rb:
+        raise ValueError(
+            f"incomparable simple roots {root_text(a)} and {root_text(b)}"
+        )
+    return ra < rb
+
+
 def d_admissibility_violation_by_labels(group, A, cross_pair_products=False):
     """(axiom, witness) of the first failed type D axiom, or None.
 
@@ -208,12 +244,7 @@ def d_admissibility_violation_by_labels(group, A, cross_pair_products=False):
     comparison, even when they decompose gamma differently; rank 4
     refutes that variant on smooth elements.
     """
-    from smoothchains.type_d import (
-        leading_simple,
-        simple_precedes,
-        summable_pairs,
-        tuple_add,
-    )
+    from smoothchains.type_d import summable_pairs, tuple_add
 
     for lab in sorted(A):
         missing = d_label_ideals(group)[lab] - A

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import doctest
 import itertools
 import os
 import subprocess
@@ -51,11 +50,6 @@ from smoothchains.permutations import (
 
 def smooth_windows(n):
     return [tuple(w) for w in all_windows(n) if is_smooth_pattern(tuple(w))]
-
-
-def test_module_doctests_pass():
-    failures, _ = doctest.testmod(adm_mod)
-    assert failures == 0
 
 
 # ------------------------------------------------------------ elements

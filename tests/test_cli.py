@@ -217,12 +217,43 @@ def test_sweep_sampling_is_seeded(capsys):
         ["sweep", "--mode", "conjecture-d"],
         ["sweep", "--mode", "smooth-crosscheck"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--workers", "0"],
+        ["sweep", "--mode", "smooth-crosscheck", "--n", "0"],
+        ["sweep", "--mode", "theorem-verify", "--n", "-3"],
+        ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--max-reflections", "-1"],
+        ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--sample", "0", "--seed", "1"],
+        ["sweep", "--mode", "smooth-crosscheck", "--n", "3", "--sample", "7", "--seed", "1"],
     ],
 )
 def test_sweep_usage_errors_exit_2(capsys, argv):
     code = main(argv)
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--mode", "smooth-crosscheck", "--n", "0"], "degree 0 is below the minimum 1"),
+        (["sweep", "--mode", "theorem-verify", "--n", "-3"], "degree -3 is below the minimum 1"),
+        (["sweep", "--mode", "conjecture-d", "--rank", "3", "--max-reflections", "-1"],
+         "--max-reflections -1 is negative"),
+        (["order", "321", "--max-reflections", "-1"], "--max-reflections -1 is negative"),
+        (["typed", "conjecture", "--rank", "2", "--max-reflections", "-1"],
+         "--max-reflections -1 is negative"),
+        (["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--sample", "0", "--seed", "1"],
+         "--sample 0 is outside 1..24"),
+        (["sweep", "--mode", "smooth-crosscheck", "--n", "3", "--sample", "7", "--seed", "1"],
+         "--sample 7 is outside 1..6"),
+        (["typed", "roots", "--rank", "6"], "rank 6 exceeds the supported limit 5"),
+        (["typed", "roots", "--rank", "0"], "rank 0 is below the minimum 1"),
+        (["typed", "smooth", "--", "1,2,3,4,5,6"], "rank 6 exceeds the supported limit 5"),
+    ],
+)
+def test_out_of_range_values_are_refused_by_name(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_sweep_rejects_unknown_mode(capsys):

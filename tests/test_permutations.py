@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import doctest
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smoothchains.permutations as perm_mod
 from oracles import brute_length, contains_pattern_brute, swap_positions
 from smoothchains.permutations import (
     all_transpositions,
@@ -33,11 +30,6 @@ windows = st.integers(min_value=1, max_value=7).flatmap(
 
 def windows_of(n: int):
     return st.permutations(list(range(1, n + 1))).map(tuple)
-
-
-def test_module_doctests_pass():
-    failures, _ = doctest.testmod(perm_mod)
-    assert failures == 0
 
 
 # ----------------------------------------------------------- parsing

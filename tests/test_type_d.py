@@ -1,20 +1,20 @@
 from __future__ import annotations
 
-import doctest
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smoothchains.type_d as type_d_mod
 from oracles import (
     d_admissibility_violation_by_labels,
     d_cover_pairs_oracle,
     d_downsets,
     d_label_ideals,
     d_reduced_word_counts,
+    leading_simple,
     root_reflection_image,
+    simple_precedes,
 )
 from smoothchains.admissible import c23, is_smooth_pattern
 from smoothchains.orders import enumerate_compatible_orders
@@ -32,7 +32,6 @@ from smoothchains.type_d import (
     is_compatible_d,
     is_positive_root,
     label_text,
-    leading_simple,
     length_by_roots,
     parse_root,
     positive_roots,
@@ -43,7 +42,6 @@ from smoothchains.type_d import (
     root_poset_covers,
     root_text,
     simple_order_config,
-    simple_precedes,
     simple_rank,
     simple_roots,
     sp_compose,
@@ -74,11 +72,6 @@ def signed_windows(n: int):
             for i, v in enumerate(args[0])
         )
     )
-
-
-def test_module_doctests_pass():
-    failures, _ = doctest.testmod(type_d_mod)
-    assert failures == 0
 
 
 # ---------------------------------------------------------------- roots
