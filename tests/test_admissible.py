@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import doctest
 import itertools
 import os
 import subprocess
@@ -50,6 +51,12 @@ from smoothchains.permutations import (
 
 def smooth_windows(n):
     return [tuple(w) for w in all_windows(n) if is_smooth_pattern(tuple(w))]
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(adm_mod)
+    assert result.failed == 0
+    assert result.attempted > 0
 
 
 # ------------------------------------------------------------ elements

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothchains.permutations as perm_mod
 from oracles import brute_length, contains_pattern_brute, swap_positions
 from smoothchains.permutations import (
     all_transpositions,
@@ -30,6 +33,12 @@ windows = st.integers(min_value=1, max_value=7).flatmap(
 
 def windows_of(n: int):
     return st.permutations(list(range(1, n + 1))).map(tuple)
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(perm_mod)
+    assert result.failed == 0
+    assert result.attempted > 0
 
 
 # ----------------------------------------------------------- parsing

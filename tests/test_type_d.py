@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import doctest
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothchains.type_d as type_d_mod
 from oracles import (
     d_admissibility_violation_by_labels,
     d_cover_pairs_oracle,
@@ -72,6 +74,12 @@ def signed_windows(n: int):
             for i, v in enumerate(args[0])
         )
     )
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(type_d_mod)
+    assert result.failed == 0
+    assert result.attempted > 0
 
 
 # ---------------------------------------------------------------- roots
