@@ -20,7 +20,7 @@ import math
 import os
 import random
 import sys
-from contextlib import nullcontext
+from collections import Counter
 from functools import partial
 from multiprocessing import Pool
 
@@ -57,8 +57,11 @@ from .permutations import (
     parse,
 )
 
-SWEEP_DEGREE_SOFT_CAP = 8
-CONJECTURE_RANK_SOFT_CAP = 4
+# noun: (minimum, hard limit, largest size that runs without --allow-large)
+SIZE_BOUNDS = {
+    "degree": (1, DEFAULT_MAX_DEGREE, 8),
+    "rank": (type_d.MIN_RANK, type_d.RANK_LIMIT, 4),
+}
 
 TYPE_A_MODES = (
     "smooth-crosscheck",
@@ -73,10 +76,11 @@ class CliError(Exception):
     """Usage or refusal error; maps to exit code 2."""
 
 
-def _guard_size(noun: str, size: int, hard: int, soft=math.inf, allow_large=False) -> None:
-    """Refuse sizes below 1, over the hard limit, or over the soft cap without --allow-large."""
-    if size < 1:
-        raise CliError(f"{noun} {size} is below the minimum 1")
+def _guard_size(noun: str, size: int, allow_large: bool = True) -> None:
+    """Refuse sizes outside SIZE_BOUNDS; commands with --allow-large pass its value."""
+    low, hard, soft = SIZE_BOUNDS[noun]
+    if size < low:
+        raise CliError(f"{noun} {size} is below the minimum {low}")
     if size > hard:
         raise CliError(f"{noun} {size} exceeds the supported limit {hard}")
     if size > soft and not allow_large:
@@ -338,6 +342,20 @@ def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dic
     return counters, violations
 
 
+def _merged(results) -> tuple[Counter, list[dict]]:
+    """Sum the counters and join the violations of (counters, violations) pairs, in order."""
+    counters, violations = Counter(), []
+    for part, found in results:
+        counters.update(part)
+        violations.extend(found)
+    return counters, violations
+
+
+def _check_windows(mode: str, windows: list[Window], cap: int | None) -> tuple[Counter, list]:
+    """One worker's contiguous slice of the population, merged in slice order."""
+    return _merged(_check_window(mode, w, cap) for w in windows)
+
+
 def _cmd_sweep(args) -> int:
     mode = args.mode
     workers = args.workers
@@ -367,7 +385,7 @@ def _cmd_sweep(args) -> int:
         if args.rank is None:
             raise CliError("--rank is required for mode conjecture-d")
         n = args.rank
-        _guard_size("rank", n, type_d.DEFAULT_RANK_LIMIT, CONJECTURE_RANK_SOFT_CAP, args.allow_large)
+        _guard_size("rank", n, args.allow_large)
         payload.update(
             {
                 "rank": n,
@@ -379,7 +397,7 @@ def _cmd_sweep(args) -> int:
         if args.n is None:
             raise CliError(f"--n is required for mode {mode}")
         n = args.n
-        _guard_size("degree", n, DEFAULT_MAX_DEGREE, SWEEP_DEGREE_SOFT_CAP, args.allow_large)
+        _guard_size("degree", n, args.allow_large)
         payload.update({"rank": None, "degree": n})
     population = _population(mode, n)
     if args.sample is not None:
@@ -389,19 +407,15 @@ def _cmd_sweep(args) -> int:
         population = [w for w in population if w in drawn]
     payload["population"] = len(population)
 
-    check = partial(_check_window, mode, cap=cap)
-    counters: dict = {}
-    violations: list[dict] = []
-    with Pool(min(workers, len(population))) if workers > 1 else nullcontext() as pool:
-        results = (
-            map(check, population)
-            if pool is None
-            else pool.imap(check, population, math.ceil(len(population) / workers))
-        )
-        for part, found in results:
-            for key, val in part.items():
-                counters[key] = counters.get(key, 0) + val
-            violations.extend(found)
+    size = math.ceil(len(population) / workers)
+    slices = [population[i : i + size] for i in range(0, len(population), size)]
+    check = partial(_check_windows, mode, cap=cap)
+    if len(slices) == 1:
+        results = [check(slices[0])]
+    else:
+        with Pool(len(slices)) as pool:
+            results = pool.map(check, slices)
+    counters, violations = _merged(results)
 
     payload["counters"] = counters
     payload["violations"] = violations
@@ -430,7 +444,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_typed(args) -> int:
     if args.subcommand == "roots":
         n = args.rank
-        _guard_size("rank", n, type_d.DEFAULT_RANK_LIMIT)
+        _guard_size("rank", n)
         payload = {
             "schema": "smoothchains.roots.v1",
             "rank": n,
@@ -459,7 +473,7 @@ def _cmd_typed(args) -> int:
 
     if args.subcommand == "smooth":
         w = type_d.sp_parse(args.window)
-        _guard_size("rank", len(w), type_d.DEFAULT_RANK_LIMIT)
+        _guard_size("rank", len(w))
         group = type_d.weyl_group(len(w))
         counts = group.interval_rank_counts(w)
         payload = {
@@ -483,7 +497,7 @@ def _cmd_typed(args) -> int:
 
     if args.subcommand == "conjecture":
         rank = args.rank
-        _guard_size("rank", rank, type_d.DEFAULT_RANK_LIMIT, CONJECTURE_RANK_SOFT_CAP, args.allow_large)
+        _guard_size("rank", rank, args.allow_large)
         report = type_d.verify_conjecture_d(rank, _cap(args.max_reflections))
         payload = {
             "schema": "smoothchains.conjecture.v1",
@@ -594,10 +608,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

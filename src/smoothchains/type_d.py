@@ -35,7 +35,8 @@ Root = tuple[int, ...]
 SignedWindow = tuple[int, ...]
 Label = tuple  # ("t", alpha) | ("tt", alpha, beta)
 
-DEFAULT_RANK_LIMIT = 5
+MIN_RANK = 2  # type D starts at rank 2
+RANK_LIMIT = 5  # fixed: no group past rank 5 is built, and no caller can raise it
 CONJECTURE_MAX_REFLECTIONS = 12
 # the product axiom admissibility_violation_d checks, named in reports
 PRODUCT_PAIR_RULE = "same-decomposition orientations"
@@ -50,8 +51,8 @@ def _basis(n: int, idx: int, sign: int = 1) -> Root:
 
 
 def _check_rank(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"type D needs rank >= 2, got {n}")
+    if n < MIN_RANK:
+        raise ValueError(f"type D needs rank >= {MIN_RANK}, got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -254,9 +255,9 @@ class WeylGroupD:
 
     def __init__(self, rank: int):
         _check_rank(rank)
-        if rank > DEFAULT_RANK_LIMIT:
+        if rank > RANK_LIMIT:
             raise ValueError(
-                f"rank {rank} exceeds the group-size limit {DEFAULT_RANK_LIMIT}"
+                f"rank {rank} exceeds the group-size limit {RANK_LIMIT}"
             )
         self.rank = rank
         gens = [reflection_window(a, rank) for a in simple_roots(rank)]

@@ -245,7 +245,10 @@ def test_sweep_usage_errors_exit_2(capsys, argv):
         (["sweep", "--mode", "smooth-crosscheck", "--n", "3", "--sample", "7", "--seed", "1"],
          "--sample 7 is outside 1..6"),
         (["typed", "roots", "--rank", "6"], "rank 6 exceeds the supported limit 5"),
-        (["typed", "roots", "--rank", "0"], "rank 0 is below the minimum 1"),
+        (["typed", "roots", "--rank", "0"], "rank 0 is below the minimum 2"),
+        (["typed", "roots", "--rank", "1"], "rank 1 is below the minimum 2"),
+        (["sweep", "--mode", "conjecture-d", "--rank", "1"], "rank 1 is below the minimum 2"),
+        (["typed", "smooth", "--", "1"], "rank 1 is below the minimum 2"),
         (["typed", "smooth", "--", "1,2,3,4,5,6"], "rank 6 exceeds the supported limit 5"),
     ],
 )
@@ -278,6 +281,16 @@ def test_multi_worker_run_differs_only_in_worker_count(capsys):
     )
     assert solo.pop("workers") == 1
     assert multi.pop("workers") == 3
+    assert solo == multi
+
+
+@pytest.mark.parametrize("n, workers", [(1, 3), (2, 4), (3, 4)])
+def test_more_workers_than_elements_matches_one_worker(capsys, n, workers):
+    argv = ["sweep", "--mode", "theorem-verify", "--n", str(n)]
+    _, solo = run_json(capsys, *argv)
+    _, multi = run_json(capsys, *argv, "--workers", str(workers))
+    assert multi.pop("workers") == workers
+    solo.pop("workers")
     assert solo == multi
 
 
