@@ -198,11 +198,15 @@ def invert_set(A: AdmissibleSet) -> AdmissibleSet:
 
 
 def c_t(w: Window) -> frozenset[Transposition]:
-    """Transpositions below w in Bruhat order."""
-    mw, mwi = mu(w), mu(inverse(w))
+    """Transpositions below w in Bruhat order, from running maxima.
+
+    T(i, j) <= w iff j <= min(mu(w)[i], mu(w^{-1})[i]) (1-based), the
+    bound bruhat.reflection_bounds gives, so each i contributes a range.
+    """
     return frozenset(
-        t for t in itertools.combinations(range(1, len(w) + 1), 2)
-        if bruhat.reflection_leq(t, w, mw, mwi)
+        (i, j)
+        for i, top in enumerate(bruhat.reflection_bounds(w), start=1)
+        for j in range(i + 1, top + 1)
     )
 
 

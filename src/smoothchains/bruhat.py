@@ -2,9 +2,9 @@
 
 Comparison is by dominance of rank matrices: x <= y iff for all i, j the
 count #{a <= i : x(a) >= j} is at most the same count for y.  Covering
-relations use the transposition test: x is covered by y iff y = x * T(a, b)
-with x(a) < x(b) and no position strictly between a and b carrying a value
-strictly between x(a) and x(b).
+relations use the step-cover rule stated in the orders module docstring:
+swap_covers decides it for one step x -> x * T(i, j), and is_cover
+applies it to the two positions where x and y differ.
 """
 
 from __future__ import annotations
@@ -54,10 +54,18 @@ def is_cover(x: Window, y: Window) -> bool:
     if len(diff) != 2:
         return False
     a, b = diff
-    if x[a] != y[b] or x[b] != y[a] or x[a] >= x[b]:
+    return x[a] == y[b] and x[b] == y[a] and swap_covers(x, a + 1, b + 1)
+
+
+def swap_covers(x: Sequence[int], i: int, j: int) -> bool:
+    """Is x covered by x * T(i, j)?  1-based i < j; x may be a list."""
+    lo, hi = x[i - 1], x[j - 1]
+    if not lo < hi:
         return False
-    lo, hi = x[a], x[b]
-    return not any(lo < x[c] < hi for c in range(a + 1, b))
+    for v in x[i : j - 1]:
+        if lo < v < hi:
+            return False
+    return True
 
 
 def reflection_leq(
@@ -81,19 +89,22 @@ def reflection_leq(
     return mu_w[i - 1] >= j and mu_winv[i - 1] >= j
 
 
+def reflection_bounds(w: Window) -> tuple[int, ...]:
+    """The rule of reflection_leq for every i at once.
+
+    Entry i (1-based) is min(max w(1..i), max w^{-1}(1..i)), so
+    T(i, j) <= w iff i < j <= entry i.  Every entry is at least i.
+
+    >>> reflection_bounds((3, 1, 2))
+    (2, 3, 3)
+    """
+    return tuple(map(min, mu(w), mu(inverse(w))))
+
+
 def is_saturated_chain(chain: Sequence[Window]) -> bool:
     """Is every consecutive step of the chain a covering relation?"""
     _validate_chain(chain)
     return all(is_cover(x, y) for x, y in zip(chain, chain[1:]))
-
-
-def first_noncover(chain: Sequence[Window]) -> int | None:
-    """1-based index of the first step that is not a cover, or None."""
-    _validate_chain(chain)
-    for step, (x, y) in enumerate(zip(chain, chain[1:]), start=1):
-        if not is_cover(x, y):
-            return step
-    return None
 
 
 def _validate_chain(chain: Sequence[Window]) -> None:

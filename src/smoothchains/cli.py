@@ -29,7 +29,6 @@ from .admissible import (
     c23,
     c_t,
     is_admissible,
-    is_smooth_length,
     is_smooth_pattern,
     parse_element,
 )
@@ -275,9 +274,9 @@ def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dic
     text = format_window(w)
     if mode == "smooth-crosscheck":
         by_pattern = is_smooth_pattern(w)
-        by_length = is_smooth_length(w)
         refl = len(c_t(w))
         lw = length(w)
+        by_length = refl == lw  # is_smooth_length from the counts above
         counters["smooth"] = int(by_pattern)
         if by_pattern != by_length:
             violations.append(

@@ -27,16 +27,18 @@ into a test of which item may be placed next:
 
 Every prefix built this way extends to the rule consistently, so a
 completed arrangement is compatible and no final filtering pass is
-needed.  ``constrained_orders`` yields every compatible arrangement,
-depth first over items in sorted order, so the output sequence is
-deterministic; ``capped_orders`` lists them, refusing sets over a cap.
-Placement depends only on the set of items already placed, so the
-compatible arrangements are exactly the paths from the empty set to
-the full one through such sets.  ``fold_orders``, under the same cap,
-walks those sets instead of the paths and returns each product of a
-compatible arrangement with its number of arrangements
-(linear-extension counting over the lattice of ideals, De Loof, De
-Meyer and De Baets 2006).  The type D conjecture check uses it; the
+needed.  Placement depends only on the set of items already placed,
+so the compatible arrangements are exactly the paths from the empty
+set to the full one through such sets.  ``constrained_orders`` yields
+every compatible arrangement, depth first over items in sorted order,
+so the output sequence is deterministic; ``capped_orders`` lists them,
+refusing sets over a cap.  The search keeps, for one call only, a memo
+from each placed set to the items that may come next, so the rule runs
+once per set rather than once per path through it.  ``fold_orders``,
+under the same cap, walks those sets instead of the paths and returns
+each product of a compatible arrangement with its number of
+arrangements (linear-extension counting over the lattice of ideals, De
+Loof, De Meyer and De Baets 2006).  The type D conjecture check uses it; the
 type A callers and enumerate_compatible_orders_d still list.
 """
 
@@ -179,22 +181,46 @@ def constrained_orders(
 ) -> Iterator[tuple[Item, ...]]:
     """Yield every arrangement of items that the pair rule allows.
 
-    Unsatisfiable pairs simply yield nothing.  Pairs naming unknown
-    items are rejected.
+    Depth first with an explicit stack; the items that may come next
+    depend only on the placed set, so they are found once per set and
+    kept for this call.  Unsatisfiable pairs simply yield nothing.
+    Pairs naming unknown items are rejected.
     """
     ordered, placeable = _placement_rule(items, pairs)
     k = len(ordered)
-    prefix: list[Item] = []
+    full = (1 << k) - 1
+    # placed bitmask -> (bit, item) for each item that may come next
+    steps: dict[int, list[tuple[int, Item]]] = {}
 
-    def search(placed: int) -> Iterator[tuple[Item, ...]]:
-        if len(prefix) == k:
-            yield tuple(prefix)
+    def enabled(placed: int) -> Iterator[tuple[int, Item]]:
+        found = steps.get(placed)
+        if found is None:
+            found = steps[placed] = [
+                (1 << p, ordered[p]) for p in range(k)
+                if not (placed >> p) & 1 and placeable(p, placed)
+            ]
+        return iter(found)
+
+    def search() -> Iterator[tuple[Item, ...]]:
+        if not k:
+            yield ()
             return
-        for p in range(k):
-            if (placed >> p) & 1 or not placeable(p, placed):
+        prefix: list[Item] = []
+        stack = [(enabled(0), 0)]
+        while stack:
+            rest, placed = stack[-1]
+            step = next(rest, None)
+            if step is None:
+                stack.pop()
+                if prefix:
+                    prefix.pop()
                 continue
-            prefix.append(ordered[p])
-            yield from search(placed | (1 << p))
-            prefix.pop()
+            bit, item = step
+            placed |= bit
+            if placed == full:
+                yield (*prefix, item)
+            else:
+                prefix.append(item)
+                stack.append((enabled(placed), placed))
 
-    return search(0)
+    return search()

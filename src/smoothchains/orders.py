@@ -19,6 +19,13 @@ products walk saturated chains in Bruhat order.  This module constructs
 such an arrangement wedge by wedge, verifies arbitrary arrangements,
 enumerates all compatible arrangements, and explores the elementary-move
 graph on them.
+
+Every chain step is a right product x -> x * T(i, j) with i < j, which
+swaps positions i and j of the window.  The step-cover rule: x is
+covered by x * T(i, j) iff x(i) < x(j) and no position strictly
+between i and j holds a value strictly between x(i) and x(j)
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, Lemma 2.1.4).  So a
+step is decided from positions i..j of x, without comparing windows.
 """
 
 from __future__ import annotations
@@ -42,9 +49,7 @@ from .permutations import (
     Transposition,
     Window,
     format_window,
-    identity,
     length,
-    times_transposition,
 )
 
 ReflectionOrder = tuple[Transposition, ...]
@@ -160,28 +165,32 @@ class VerificationReport:
 def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     """Check the product identity and both saturated chains.
 
-    The arrangement must use exactly the reflections below w.  The
-    prefix chain multiplies the arrangement left to right from the
-    identity; the suffix chain does the same on the reversed word, so it
-    ends at w^{-1} whenever the product comes out to w.
+    The arrangement must use exactly the reflections below w, each once;
+    membership is read off bruhat.reflection_bounds, so c_t(w) is not
+    built.  The prefix chain multiplies the arrangement left to right
+    from the identity; the suffix chain does the same on the reversed
+    word, so it ends at w^{-1} whenever the product comes out to w.
+    Each step is decided by the step-cover rule of the module
+    docstring.
     """
-    if frozenset(order) != c_t(w) or len(order) != len(set(order)):
+    n = len(w)
+    bounds = bruhat.reflection_bounds(w)
+    if (
+        len(set(order)) != len(order)
+        # |c_t(w)|: entry i of bounds admits j = i+1..entry
+        or len(order) != sum(bounds) - n * (n + 1) // 2
+        or not all(1 <= i < j <= n and j <= bounds[i - 1] for i, j in order)
+    ):
         raise ValueError("arrangement does not match the reflections below w")
-    prefix = [identity(len(w))]
-    for t in order:
-        prefix.append(times_transposition(prefix[-1], t))
-    suffix = [identity(len(w))]
-    for t in reversed(order):
-        suffix.append(times_transposition(suffix[-1], t))
+    prefix, prefix_break = _chain(n, order)
+    suffix, suffix_break = _chain(n, reversed(order))
     product = prefix[-1]
-    prefix_break = bruhat.first_noncover(prefix)
-    suffix_break = bruhat.first_noncover(suffix)
     return VerificationReport(
         window=w,
         order=tuple(order),
         product=product,
-        prefix_chain=tuple(prefix),
-        suffix_chain=tuple(suffix),
+        prefix_chain=prefix,
+        suffix_chain=suffix,
         product_ok=product == w,
         prefix_saturated=prefix_break is None,
         suffix_saturated=suffix_break is None,
@@ -190,33 +199,40 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     )
 
 
-def _disjoint(a: Transposition, b: Transposition) -> bool:
-    return not set(a) & set(b)
+def _chain(n: int, steps) -> tuple[tuple[Window, ...], int | None]:
+    """The chain e, e * t1, e * t1 * t2, ... and its first non-cover step.
 
-
-def _triangle_middle(a: Transposition, m: Transposition, b: Transposition) -> bool:
-    # True when {a, m, b} are the three reflections on three indices and
-    # m is the one joining the smallest and largest.
-    support = set(a) | set(m) | set(b)
-    if len(support) != 3 or len({a, m, b}) != 3:
-        return False
-    return m == (min(support), max(support))
+    The step index is 1-based, None when every step is a cover.
+    """
+    x = list(range(1, n + 1))
+    chain = [tuple(x)]
+    first_break = None
+    for step, (i, j) in enumerate(steps, start=1):
+        if first_break is None and not bruhat.swap_covers(x, i, j):
+            first_break = step
+        x[i - 1], x[j - 1] = x[j - 1], x[i - 1]
+        chain.append(tuple(x))
+    return tuple(chain), first_break
 
 
 def _moves(order: ReflectionOrder):
     """Every arrangement one elementary move away, compatible or not.
 
-    Moves: swap two adjacent disjoint reflections; reverse three
-    consecutive reflections forming a triangle with the long one in the
-    middle.  Distinct moves change different positions, so none repeats.
+    Moves: swap two adjacent disjoint reflections T(i, j), T(k, l);
+    reverse three consecutive reflections T(x, y), T(x, z), T(y, z) or
+    T(y, z), T(x, z), T(x, y), the long one in the middle.  Distinct
+    moves change different positions, so none repeats.
     """
     for p in range(len(order) - 1):
-        if _disjoint(order[p], order[p + 1]):
+        (i, j), (k, l) = order[p], order[p + 1]
+        if i != k and i != l and j != k and j != l:
             yield order[:p] + (order[p + 1], order[p]) + order[p + 2 :]
     for p in range(len(order) - 2):
-        a, m, b = order[p : p + 3]
-        if _triangle_middle(a, m, b):
-            yield order[:p] + (b, m, a) + order[p + 3 :]
+        a, (x, z), b = order[p : p + 3]
+        if (a[0] == x and b[1] == z and a[1] == b[0]) or (
+            b[0] == x and a[1] == z and b[1] == a[0]
+        ):
+            yield order[:p] + (b, (x, z), a) + order[p + 3 :]
 
 
 def elementary_neighbors(

@@ -100,6 +100,79 @@ def compatible_orders_brute(admissible_set, is_compatible) -> list[tuple]:
     return sorted(out)
 
 
+# ------------------------------------ generic chain verifier and moves
+
+def c_t_by_filter(w: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """Transpositions below w: every pair filtered through reflection_leq."""
+    from smoothchains.bruhat import reflection_leq
+
+    return frozenset(t for t in all_transp(len(w)) if reflection_leq(t, w))
+
+
+def first_noncover(chain) -> int | None:
+    """1-based index of the first step that is not a cover, or None."""
+    from smoothchains.bruhat import _validate_chain, is_cover
+
+    _validate_chain(chain)
+    for step, (x, y) in enumerate(zip(chain, chain[1:]), start=1):
+        if not is_cover(x, y):
+            return step
+    return None
+
+
+def reference_verify_order(w: tuple[int, ...], order):
+    """verify_order from whole windows: a set comparison against the
+    filtered reflections, product chains, and is_cover on each step."""
+    from smoothchains.orders import VerificationReport
+    from smoothchains.permutations import identity, times_transposition
+
+    if frozenset(order) != c_t_by_filter(w) or len(order) != len(set(order)):
+        raise ValueError("arrangement does not match the reflections below w")
+    prefix = [identity(len(w))]
+    for t in order:
+        prefix.append(times_transposition(prefix[-1], t))
+    suffix = [identity(len(w))]
+    for t in reversed(order):
+        suffix.append(times_transposition(suffix[-1], t))
+    prefix_break = first_noncover(prefix)
+    suffix_break = first_noncover(suffix)
+    return VerificationReport(
+        window=w,
+        order=tuple(order),
+        product=prefix[-1],
+        prefix_chain=tuple(prefix),
+        suffix_chain=tuple(suffix),
+        product_ok=prefix[-1] == w,
+        prefix_saturated=prefix_break is None,
+        suffix_saturated=suffix_break is None,
+        prefix_first_break=prefix_break,
+        suffix_first_break=suffix_break,
+    )
+
+
+def reference_moves(order) -> list[tuple]:
+    """One-move neighbours of an arrangement, tested on index sets.
+
+    Adjacent reflections with disjoint supports swap; three consecutive
+    distinct reflections on three indices, the one joining the smallest
+    and largest in the middle, reverse.
+    """
+    out = []
+    for p in range(len(order) - 1):
+        if not set(order[p]) & set(order[p + 1]):
+            out.append(order[:p] + (order[p + 1], order[p]) + order[p + 2 :])
+    for p in range(len(order) - 2):
+        a, m, b = order[p : p + 3]
+        support = set(a) | set(m) | set(b)
+        if (
+            len(support) == 3
+            and len({a, m, b}) == 3
+            and m == (min(support), max(support))
+        ):
+            out.append(order[:p] + (b, m, a) + order[p + 3 :])
+    return out
+
+
 # ------------------------------------------------------------- type D
 
 def d_negative_count_even(window: tuple[int, ...]) -> bool:

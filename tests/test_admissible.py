@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothchains.admissible as adm_mod
-from oracles import bruhat_leq_oracle
+from oracles import bruhat_leq_oracle, c_t_by_filter
 from smoothchains.admissible import (
     admissibility_violation,
     all_elements23,
@@ -153,6 +153,12 @@ def test_c_t_matches_realized_bruhat_comparisons(n):
             if bruhat_leq_oracle(realize(("T", i, j), n), w)
         }
         assert c_t(w) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_c_t_closed_form_matches_reflection_leq_filter(n):
+    for w in all_windows(n):
+        assert c_t(w) == c_t_by_filter(w), w
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -5,17 +5,18 @@ import random
 
 import pytest
 
-from oracles import bruhat_downsets, cover_pairs_oracle
+from oracles import bruhat_downsets, cover_pairs_oracle, first_noncover
 from smoothchains.bruhat import (
     chain_text,
     chain_to_dot,
-    first_noncover,
     interval_rank_counts,
     is_cover,
     is_saturated_chain,
     leq,
     rank_matrix,
+    reflection_bounds,
     reflection_leq,
+    swap_covers,
 )
 from smoothchains.permutations import (
     all_transpositions,
@@ -112,6 +113,17 @@ def test_cover_implies_leq_and_length_step(n):
                 assert length(y) == length(x) + 1
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_swap_covers_agrees_with_oracle(n):
+    # the step-cover rule on the two swapped positions, window or list
+    pairs = cover_pairs_oracle(n)
+    for x in all_windows(n):
+        for t in all_transpositions(n):
+            expected = (x, times_transposition(x, t)) in pairs
+            assert swap_covers(x, *t) == expected, (x, t)
+            assert swap_covers(list(x), *t) == expected, (x, t)
+
+
 def test_single_transposition_is_not_always_a_cover():
     # 12345 -> 32145 multiplies by one transposition but jumps 3 in length
     assert not is_cover(parse("12345"), parse("32145"))
@@ -133,6 +145,16 @@ def test_reflection_leq_matches_realized_comparison(n):
             expected = leq(transposition_window(n, i, j), w)
             assert reflection_leq((i, j), w) == expected
             assert reflection_leq((i, j), w, mw, mwi) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_reflection_bounds_match_reflection_leq(n):
+    for w in all_windows(n):
+        bounds = reflection_bounds(w)
+        for i in range(1, n + 1):
+            assert bounds[i - 1] >= i
+            for j in range(i + 1, n + 1):
+                assert (j <= bounds[i - 1]) == reflection_leq((i, j), w)
 
 
 def test_reflection_leq_validates_bounds():

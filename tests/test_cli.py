@@ -104,6 +104,14 @@ def test_order_verify_rejects_wrong_reflection_set(tmp_path, capsys):
     assert "does not match" in err
 
 
+def test_order_verify_rejects_out_of_range_reflection(tmp_path, capsys):
+    path = tmp_path / "far.order"
+    path.write_text("T(5,9)\n")
+    code, _, err = run_cli(capsys, "order", "321", "--verify", str(path))
+    assert code == 2
+    assert err == "error: arrangement does not match the reflections below w\n"
+
+
 def test_order_file_rejects_cycle_lines(tmp_path, capsys):
     path = tmp_path / "cycles.order"
     path.write_text("R(1,2,3)\n")

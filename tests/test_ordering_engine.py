@@ -1,14 +1,38 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
 from smoothchains.admissible import c23, is_smooth_pattern, reflection_pairs
-from smoothchains.ordering_engine import capped_orders, fold_orders
+from smoothchains.ordering_engine import (
+    capped_orders,
+    fold_orders,
+    is_compatible_order,
+)
 from smoothchains.permutations import all_windows, identity, times_transposition
 
 
 def _append(prefix, item):
     return prefix + (item,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_listing_is_the_checked_permutations_in_order(n):
+    # the search yields exactly the compatible arrangements, in the
+    # lexicographic order of the sorted items
+    for w in all_windows(n):
+        if not is_smooth_pattern(w):
+            continue
+        A = c23(w)
+        items, pairs = A.reflections, list(reflection_pairs(A))
+        if len(items) > 7:
+            continue
+        expect = [
+            p for p in permutations(sorted(items))
+            if is_compatible_order(p, items, pairs)
+        ]
+        assert capped_orders(items, pairs, None) == expect, w
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import compatible_orders_brute
+from oracles import compatible_orders_brute, reference_moves, reference_verify_order
 from smoothchains.admissible import (
     admissibility_violation,
     c23,
@@ -21,6 +21,7 @@ from smoothchains.admissible import (
 )
 from smoothchains.orders import (
     NotSmoothError,
+    _moves,
     construct_compatible_order,
     construct_for_set,
     construction_steps,
@@ -250,6 +251,73 @@ def test_verify_order_rejects_wrong_reflection_set():
         verify_order(w, ((1, 2), (2, 3)))
     with pytest.raises(ValueError):
         verify_order(w, ((1, 2), (1, 3), (1, 2)))
+
+
+MISMATCH = "arrangement does not match the reflections below w"
+
+
+@pytest.mark.parametrize(
+    "perm, order",
+    [
+        ("321", ((2, 3), (1, 3), (1, 2), (2, 3))),  # repeated label
+        ("321", ((2, 3), (1, 3))),  # missing label
+        ("321", ((2, 3), (1, 3), (1, 2), (3, 4))),  # extra label
+        ("321", ((2, 3), (1, 3), (5, 9))),  # out of range, right count
+        ("321", ((2, 3), (1, 3), (0, 1))),  # below range, right count
+        ("321", ((2, 3), (1, 3), (2, 1))),  # reversed label
+        ("321", ((5, 9),)),
+        ("321", ((0, 1),)),
+        # 132 has T(2,3) only: T(1,2) and T(1,3) fit but are not below
+        ("132", ((1, 2),)),
+        ("132", ((1, 3),)),
+        ("132", ((2, 3), (1, 2))),
+    ],
+)
+def test_verify_order_mismatch_message(perm, order):
+    with pytest.raises(ValueError) as caught:
+        verify_order(parse(perm), order)
+    assert str(caught.value) == MISMATCH
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_order_matches_reference_on_listed_and_shuffled_orders(n):
+    rng = random.Random(n)
+    for w in smooth_windows(n):
+        listed = enumerate_compatible_orders(c23(w), None)
+        shuffled = []
+        for _ in range(5):
+            order = list(listed[0])
+            rng.shuffle(order)
+            shuffled.append(tuple(order))
+        for order in listed + shuffled:
+            assert verify_order(w, order) == reference_verify_order(w, order), (w, order)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_order_matches_reference_where_chains_break(n):
+    # the reflections below a non-smooth w outnumber its length, so no
+    # arrangement of them walks a saturated chain to w
+    rng = random.Random(100 + n)
+    breaks = 0
+    for w in all_windows(n):
+        if is_smooth_pattern(w):
+            continue
+        for _ in range(5):
+            order = sorted(c_t(w))
+            rng.shuffle(order)
+            report = verify_order(w, tuple(order))
+            assert report == reference_verify_order(w, tuple(order)), (w, order)
+            assert not report.all_ok
+            breaks += report.prefix_first_break is not None
+            breaks += report.suffix_first_break is not None
+    assert breaks > 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_moves_match_reference_on_listed_orders(n):
+    for w in smooth_windows(n):
+        for order in enumerate_compatible_orders(c23(w), None):
+            assert list(_moves(order)) == reference_moves(order), order
 
 
 def test_remark_arrangement_multiplies_back_but_breaks_saturation():
