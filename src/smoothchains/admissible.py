@@ -42,24 +42,6 @@ Element = tuple  # ("T", i, j) | ("R", i, j, k) | ("L", i, j, k)
 _KINDS = ("T", "R", "L")
 
 
-def refl(i: int, j: int) -> Element:
-    if not 1 <= i < j:
-        raise ValueError(f"T needs 1 <= i < j, got ({i}, {j})")
-    return ("T", i, j)
-
-
-def rcycle(i: int, j: int, k: int) -> Element:
-    if not 1 <= i < j < k:
-        raise ValueError(f"R needs 1 <= i < j < k, got ({i}, {j}, {k})")
-    return ("R", i, j, k)
-
-
-def lcycle(i: int, j: int, k: int) -> Element:
-    if not 1 <= i < j < k:
-        raise ValueError(f"L needs 1 <= i < j < k, got ({i}, {j}, {k})")
-    return ("L", i, j, k)
-
-
 def validate_element(elem: Element, degree: int | None = None) -> Element:
     """Check label shape and index bounds; return the element."""
     if not isinstance(elem, tuple) or not elem or elem[0] not in _KINDS:
@@ -110,12 +92,6 @@ def parse_element(text: str) -> Element:
 
 
 _INVERSE_KIND = {"T": "T", "R": "L", "L": "R"}
-
-
-def invert_element(elem: Element) -> Element:
-    """Label of the inverse permutation: fixes T, swaps R and L."""
-    kind, *idx = validate_element(elem)
-    return (_INVERSE_KIND[kind], *idx)
 
 
 def realize(elem: Element, n: int) -> Window:

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .permutations import (
-    Transposition,
-    Window,
-    all_transpositions,
-    format_window,
-    inverse,
-    length,
-    mu,
-    times_transposition,
-)
+from .permutations import Transposition, Window, format_window, inverse, mu
 
 
 def rank_matrix(w: Window) -> tuple[tuple[int, ...], ...]:
@@ -68,32 +59,20 @@ def swap_covers(x: Sequence[int], i: int, j: int) -> bool:
     return True
 
 
-def reflection_leq(
-    t: Transposition,
-    w: Window,
-    mu_w: Sequence[int] | None = None,
-    mu_winv: Sequence[int] | None = None,
-) -> bool:
-    """T(i, j) <= w, decided from running maxima of w and of w^{-1}.
-
-    T(i, j) <= w iff max(w(1..i)) >= j and max(w^{-1}(1..i)) >= j.
-    Precomputed maxima tables can be passed in for sweep loops.
-    """
+def reflection_leq(t: Transposition, w: Window) -> bool:
+    """T(i, j) <= w, read off reflection_bounds(w)."""
     i, j = t
     if not 1 <= i < j <= len(w):
         raise ValueError(f"T{t} does not fit in degree {len(w)}")
-    if mu_w is None:
-        mu_w = mu(w)
-    if mu_winv is None:
-        mu_winv = mu(inverse(w))
-    return mu_w[i - 1] >= j and mu_winv[i - 1] >= j
+    return j <= reflection_bounds(w)[i - 1]
 
 
 def reflection_bounds(w: Window) -> tuple[int, ...]:
-    """The rule of reflection_leq for every i at once.
+    """Which reflections lie below w, for every i at once.
 
-    Entry i (1-based) is min(max w(1..i), max w^{-1}(1..i)), so
-    T(i, j) <= w iff i < j <= entry i.  Every entry is at least i.
+    T(i, j) <= w iff max w(1..i) >= j and max w^{-1}(1..i) >= j.  Entry
+    i (1-based) is min(max w(1..i), max w^{-1}(1..i)), so T(i, j) <= w
+    iff i < j <= entry i.  Every entry is at least i.
 
     >>> reflection_bounds((3, 1, 2))
     (2, 3, 3)
@@ -121,43 +100,13 @@ def chain_text(chain: Sequence[Window]) -> list[str]:
     return [format_window(w) for w in chain]
 
 
-def chain_to_dot(chain: Sequence[Window], name: str = "chain") -> str:
+def chain_to_dot(chain: Sequence[Window]) -> str:
     """DOT source for the chain drawn as a directed path."""
     _validate_chain(chain)
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph chain {", "  rankdir=LR;"]
     for w in chain:
         lines.append(f'  "{format_window(w)}";')
     for x, y in zip(chain, chain[1:]):
         lines.append(f'  "{format_window(x)}" -> "{format_window(y)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def interval_rank_counts(w: Window) -> tuple[int, ...]:
-    """Sizes of the length-graded pieces of the interval [e, w].
-
-    Index d counts the elements x <= w with length d.  Used by tests to
-    decide rational smoothness by palindromicity.
-    """
-    # Grow the interval downward from w: every element below w is
-    # reachable through length-decreasing reflection moves, so this
-    # closure is the definitional one and needs no cover bookkeeping.
-    n = len(w)
-    lw = length(w)
-    counts = [0] * (lw + 1)
-    seen = {w}
-    frontier = [w]
-    counts[lw] = 1
-    trans = all_transpositions(n)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            lx = length(x)
-            for t in trans:
-                y = times_transposition(x, t)
-                if length(y) < lx and y not in seen:
-                    seen.add(y)
-                    counts[length(y)] += 1
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(counts)

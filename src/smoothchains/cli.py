@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from collections import Counter
 from functools import partial
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 from . import type_d
 from .admissible import (
@@ -48,7 +48,7 @@ from .orders import (
     verify_order,
 )
 from .permutations import (
-    DEFAULT_MAX_DEGREE,
+    MAX_DEGREE,
     Window,
     all_windows,
     format_window,
@@ -58,17 +58,11 @@ from .permutations import (
 
 # noun: (minimum, hard limit, largest size that runs without --allow-large)
 SIZE_BOUNDS = {
-    "degree": (1, DEFAULT_MAX_DEGREE, 8),
+    "degree": (1, MAX_DEGREE, 8),
     "rank": (type_d.MIN_RANK, type_d.RANK_LIMIT, 4),
 }
-
-TYPE_A_MODES = (
-    "smooth-crosscheck",
-    "theorem-verify",
-    "enumerate-orders",
-    "graph-connectivity",
-)
-ALL_MODES = TYPE_A_MODES + ("conjecture-d",)
+# noun: the sweep option that gives the size
+SIZE_OPTIONS = {"degree": "n", "rank": "rank"}
 
 
 class CliError(Exception):
@@ -137,26 +131,38 @@ def _cmd_smooth(args) -> int:
 # -------------------------------------------------------------- order
 
 def _read_order_file(path: str) -> tuple[tuple[int, int], ...]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from None
     arrangement = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
             elem = parse_element(line)
-            if elem[0] != "T":
-                raise CliError(
-                    f"{path}:{lineno}: only T(i,j) lines are allowed in "
-                    f"an .order file, got {line!r}"
-                )
-            arrangement.append((elem[1], elem[2]))
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
+        if elem[0] != "T":
+            raise CliError(
+                f"{path}:{lineno}: only T(i,j) lines are allowed in "
+                f"an .order file, got {line!r}"
+            )
+        arrangement.append((elem[1], elem[2]))
     return tuple(arrangement)
 
 
 def _write_order_file(path: str, arrangement) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for i, j in arrangement:
-            handle.write(f"T({i},{j})\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            for i, j in arrangement:
+                handle.write(f"T({i},{j})\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_order(args) -> int:
@@ -187,12 +193,14 @@ def _cmd_order(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        if args.enumerate:
+        if args.dot:
+            orders, edges = order_graph(A, cap)
+            payload["dot"] = order_graph_dot(orders, edges)
+        else:
             orders = enumerate_compatible_orders(A, cap)
+        if args.enumerate:
             payload["orders"] = [order_text(o) for o in orders]
             payload["orders_count"] = len(orders)
-        if args.dot:
-            payload["dot"] = order_graph_dot(A, cap)
     if args.dot_chain:
         payload["dot_chain"] = chain_to_dot(report.prefix_chain)
     if args.write_order:
@@ -242,103 +250,121 @@ def _cmd_order(args) -> int:
 
 
 # -------------------------------------------------------------- sweep
+#
+# An element check takes (element, cap) and returns the element's
+# counters and violations.
 
-def _population(mode: str, n: int) -> list[Window]:
-    """Sweep elements in their listing order: windows, or signed windows by group id."""
-    if mode == "conjecture-d":
-        group = type_d.weyl_group(n)
-        return [w for w in group.windows if group.is_smooth(w)]
-    if mode == "smooth-crosscheck":
-        return [tuple(w) for w in all_windows(n)]
-    return [tuple(w) for w in all_windows(n) if is_smooth_pattern(tuple(w))]
+def _chain_fields(report) -> dict:
+    """The verify_order verdicts that a failing arrangement reports."""
+    return dict(
+        product_ok=report.product_ok,
+        prefix_saturated=report.prefix_saturated,
+        suffix_saturated=report.suffix_saturated,
+    )
 
 
-def _check_window(mode: str, w: Window, cap: int | None) -> tuple[dict, list[dict]]:
-    counters = {"checked": 1}
-    violations = []
-    if mode == "conjecture-d":
-        report = type_d.check_element(type_d.weyl_group(len(w)), w, cap)
-        counters["orders"] = report.orders_found
-        if not report.ok:
-            violations.append(
-                {
-                    "window": type_d.sp_text(w),
-                    "kind": "conjecture-fails",
-                    "admissible": report.admissible,
-                    "admissibility_note": report.admissibility_note,
-                    "orders_found": report.orders_found,
-                    "products_ok": report.products_ok,
-                }
-            )
-        return counters, violations
+def _crosscheck(w: Window, cap: int) -> tuple[dict, list[dict]]:
     text = format_window(w)
-    if mode == "smooth-crosscheck":
-        by_pattern = is_smooth_pattern(w)
-        refl = len(c_t(w))
-        lw = length(w)
-        by_length = refl == lw  # is_smooth_length from the counts above
-        counters["smooth"] = int(by_pattern)
-        if by_pattern != by_length:
-            violations.append(
-                {
-                    "window": text,
-                    "kind": "criteria-disagree",
-                    "by_pattern": by_pattern,
-                    "by_length": by_length,
-                }
-            )
-        if not by_pattern and refl <= lw:
-            violations.append(
-                {
-                    "window": text,
-                    "kind": "no-reflection-excess",
-                    "reflections_below": refl,
-                    "length": lw,
-                }
-            )
-    elif mode == "theorem-verify":
-        A = c23(w)
-        order = construct_for_set(A)
+    by_pattern = is_smooth_pattern(w)
+    refl = len(c_t(w))
+    lw = length(w)
+    by_length = refl == lw  # is_smooth_length from the counts above
+    violations = []
+    if by_pattern != by_length:
+        violations.append(
+            dict(window=text, kind="criteria-disagree", by_pattern=by_pattern, by_length=by_length)
+        )
+    if not by_pattern and refl <= lw:
+        violations.append(
+            dict(window=text, kind="no-reflection-excess", reflections_below=refl, length=lw)
+        )
+    return {"smooth": int(by_pattern)}, violations
+
+
+def _theorem(w: Window, cap: int) -> tuple[dict, list[dict]]:
+    A = c23(w)
+    order = construct_for_set(A)
+    report = verify_order(w, order)
+    if report.all_ok and is_compatible(order, A):
+        return {"verified": 1}, []
+    failed = dict(window=format_window(w), kind="construction-fails", **_chain_fields(report))
+    return {"verified": 0}, [failed]
+
+
+def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
+    text = format_window(w)
+    orders = enumerate_compatible_orders(c23(w), cap)
+    violations = [] if orders else [dict(window=text, kind="no-compatible-order")]
+    for order in orders:
         report = verify_order(w, order)
-        ok = report.all_ok and is_compatible(order, A)
-        counters["verified"] = int(ok)
-        if not ok:
+        if not report.all_ok:
             violations.append(
-                {
-                    "window": text,
-                    "kind": "construction-fails",
-                    "product_ok": report.product_ok,
-                    "prefix_saturated": report.prefix_saturated,
-                    "suffix_saturated": report.suffix_saturated,
-                }
-            )
-    elif mode == "enumerate-orders":
-        A = c23(w)
-        orders = enumerate_compatible_orders(A, cap)
-        counters["orders"] = len(orders)
-        if not orders:
-            violations.append({"window": text, "kind": "no-compatible-order"})
-        for order in orders:
-            report = verify_order(w, order)
-            if not report.all_ok:
-                violations.append(
-                    {
-                        "window": text,
-                        "kind": "order-fails-verification",
-                        "order": order_text(order),
-                        "product_ok": report.product_ok,
-                        "prefix_saturated": report.prefix_saturated,
-                        "suffix_saturated": report.suffix_saturated,
-                    }
+                dict(
+                    window=text,
+                    kind="order-fails-verification",
+                    order=order_text(order),
+                    **_chain_fields(report),
                 )
-    elif mode == "graph-connectivity":
-        vertices, edges = order_graph(c23(w), cap)
-        counters["orders"] = len(vertices)
-        if not _connected(len(vertices), edges):
-            violations.append({"window": text, "kind": "graph-disconnected"})
-    else:
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    return counters, violations
+            )
+    return {"orders": len(orders)}, violations
+
+
+def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
+    vertices, edges = order_graph(c23(w), cap)
+    if _connected(len(vertices), edges):
+        return {"orders": len(vertices)}, []
+    return {"orders": len(vertices)}, [dict(window=format_window(w), kind="graph-disconnected")]
+
+
+def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
+    report = type_d.check_element(type_d.weyl_group(len(w)), w, cap)
+    if report.ok:
+        return {"orders": report.orders_found}, []
+    failed = dict(
+        window=type_d.sp_text(w),
+        kind="conjecture-fails",
+        admissible=report.admissible,
+        admissibility_note=report.admissibility_note,
+        orders_found=report.orders_found,
+        products_ok=report.products_ok,
+    )
+    return {"orders": report.orders_found}, [failed]
+
+
+def _smooth_windows(n: int) -> list[Window]:
+    return [w for w in all_windows(n) if is_smooth_pattern(w)]
+
+
+def _smooth_signed_windows(rank: int) -> list[Window]:
+    """Smooth elements of the rank-n type D group, by group id."""
+    group = type_d.weyl_group(rank)
+    return [w for w in group.windows if group.is_smooth(w)]
+
+
+class SweepMode(NamedTuple):
+    noun: str  # a key of SIZE_BOUNDS
+    cap: int  # default --max-reflections
+    population: Callable[[int], list]  # the elements of one size, in listing order
+    check: Callable[[tuple, int], tuple[dict, list[dict]]]
+
+
+SWEEP_MODES = {
+    "smooth-crosscheck": SweepMode(
+        "degree", DEFAULT_MAX_REFLECTIONS, lambda n: list(all_windows(n)), _crosscheck
+    ),
+    "theorem-verify": SweepMode(
+        "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _theorem
+    ),
+    "enumerate-orders": SweepMode(
+        "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _enumerate
+    ),
+    "graph-connectivity": SweepMode(
+        "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _connectivity
+    ),
+    "conjecture-d": SweepMode(
+        "rank", type_d.CONJECTURE_MAX_REFLECTIONS, _smooth_signed_windows, _conjecture
+    ),
+}
 
 
 def _merged(results) -> tuple[Counter, list[dict]]:
@@ -350,55 +376,40 @@ def _merged(results) -> tuple[Counter, list[dict]]:
     return counters, violations
 
 
-def _check_windows(mode: str, windows: list[Window], cap: int | None) -> tuple[Counter, list]:
+def _check_windows(check, windows: list[Window], cap: int) -> tuple[Counter, list]:
     """One worker's contiguous slice of the population, merged in slice order."""
-    return _merged(_check_window(mode, w, cap) for w in windows)
+    counters, violations = _merged(check(w, cap) for w in windows)
+    counters["checked"] += len(windows)
+    return counters, violations
 
 
 def _cmd_sweep(args) -> int:
-    mode = args.mode
+    mode = SWEEP_MODES[args.mode]
     workers = args.workers
     if workers < 1:
         raise CliError("--workers must be at least 1")
     if args.sample is not None and args.seed is None:
         raise CliError("--sample requires --seed for a reproducible draw")
-    cap = args.max_reflections
-    if cap is None:
-        cap = (
-            type_d.CONJECTURE_MAX_REFLECTIONS
-            if mode == "conjecture-d"
-            else DEFAULT_MAX_REFLECTIONS
-        )
-    cap = _cap(cap)
+    cap = _cap(mode.cap if args.max_reflections is None else args.max_reflections)
 
     payload: dict = {
         "schema": "smoothchains.sweep.v1",
-        "mode": mode,
+        "mode": args.mode,
         "workers": workers,
         "sample": args.sample,
         "seed": args.seed,
         "max_reflections": cap,
     }
 
-    if mode == "conjecture-d":
-        if args.rank is None:
-            raise CliError("--rank is required for mode conjecture-d")
-        n = args.rank
-        _guard_size("rank", n, args.allow_large)
-        payload.update(
-            {
-                "rank": n,
-                "degree": None,
-                "simple_order": list(type_d.simple_order_config(n)),
-            }
-        )
-    else:
-        if args.n is None:
-            raise CliError(f"--n is required for mode {mode}")
-        n = args.n
-        _guard_size("degree", n, args.allow_large)
-        payload.update({"rank": None, "degree": n})
-    population = _population(mode, n)
+    option = SIZE_OPTIONS[mode.noun]
+    n = getattr(args, option)
+    if n is None:
+        raise CliError(f"--{option} is required for mode {args.mode}")
+    _guard_size(mode.noun, n, args.allow_large)
+    payload.update({"degree": None, "rank": None, mode.noun: n})
+    if mode.noun == "rank":  # type D reports name the simple-root comparison ranks
+        payload["simple_order"] = list(type_d.simple_order_config(n))
+    population = mode.population(n)
     if args.sample is not None:
         if not 1 <= args.sample <= len(population):
             raise CliError(f"--sample {args.sample} is outside 1..{len(population)}")
@@ -408,7 +419,7 @@ def _cmd_sweep(args) -> int:
 
     size = math.ceil(len(population) / workers)
     slices = [population[i : i + size] for i in range(0, len(population), size)]
-    check = partial(_check_windows, mode, cap=cap)
+    check = partial(_check_windows, mode.check, cap=cap)
     if len(slices) == 1:
         results = [check(slices[0])]
     else:
@@ -422,8 +433,7 @@ def _cmd_sweep(args) -> int:
 
     def render(p):
         print(f"mode: {p['mode']}")
-        where = f"degree {p['degree']}" if p["degree"] else f"rank {p['rank']}"
-        print(f"population: {p['population']} ({where})")
+        print(f"population: {p['population']} ({mode.noun} {n})")
         for key in sorted(p["counters"]):
             print(f"{key}: {p['counters'][key]}")
         if p["violations"]:
@@ -440,85 +450,75 @@ def _cmd_sweep(args) -> int:
 
 # -------------------------------------------------------------- typed
 
-def _cmd_typed(args) -> int:
-    if args.subcommand == "roots":
-        n = args.rank
-        _guard_size("rank", n)
-        payload = {
-            "schema": "smoothchains.roots.v1",
-            "rank": n,
-            "positive_roots": [
-                type_d.root_text(a) for a in type_d.positive_roots(n)
-            ],
-            "simple_roots": [
-                type_d.root_text(a) for a in type_d.simple_roots(n)
-            ],
-            "poset_covers": [
-                [type_d.root_text(a), type_d.root_text(b)]
-                for a, b in type_d.root_poset_covers(n)
-            ],
-        }
+def _cmd_typed_roots(args) -> int:
+    n = args.rank
+    _guard_size("rank", n)
+    payload = {
+        "schema": "smoothchains.roots.v1",
+        "rank": n,
+        "positive_roots": [type_d.root_text(a) for a in type_d.positive_roots(n)],
+        "simple_roots": [type_d.root_text(a) for a in type_d.simple_roots(n)],
+        "poset_covers": [
+            [type_d.root_text(a), type_d.root_text(b)]
+            for a, b in type_d.root_poset_covers(n)
+        ],
+    }
 
-        def render(p):
-            print(f"rank: {p['rank']}")
-            print(f"positive_roots: {' '.join(p['positive_roots'])}")
-            print(f"simple_roots: {' '.join(p['simple_roots'])}")
-            print(f"poset_covers: {len(p['poset_covers'])}")
-            for a, b in p["poset_covers"]:
-                print(f"  {a} < {b}")
+    def render(p):
+        print(f"rank: {p['rank']}")
+        print(f"positive_roots: {' '.join(p['positive_roots'])}")
+        print(f"simple_roots: {' '.join(p['simple_roots'])}")
+        print(f"poset_covers: {len(p['poset_covers'])}")
+        for a, b in p["poset_covers"]:
+            print(f"  {a} < {b}")
 
-        _emit(payload, args.json, render)
-        return 0
+    _emit(payload, args.json, render)
+    return 0
 
-    if args.subcommand == "smooth":
-        w = type_d.sp_parse(args.window)
-        _guard_size("rank", len(w))
-        group = type_d.weyl_group(len(w))
-        counts = group.interval_rank_counts(w)
-        payload = {
-            "schema": "smoothchains.typed-smooth.v1",
-            "window": type_d.sp_text(w),
-            "rank": len(w),
-            "length": group.length_of(w),
-            "interval_rank_counts": list(counts),
-            "smooth": group.is_smooth(w),
-        }
 
-        def render(p):
-            print(f"window: {p['window']}")
-            print(f"rank: {p['rank']}")
-            print(f"length: {p['length']}")
-            print(f"interval_rank_counts: {p['interval_rank_counts']}")
-            print(f"smooth: {'yes' if p['smooth'] else 'no'}")
+def _cmd_typed_smooth(args) -> int:
+    w = type_d.sp_parse(args.window)
+    _guard_size("rank", len(w))
+    group = type_d.weyl_group(len(w))
+    payload = {
+        "schema": "smoothchains.typed-smooth.v1",
+        "window": type_d.sp_text(w),
+        "rank": len(w),
+        "length": group.length_of(w),
+        "interval_rank_counts": list(group.interval_rank_counts(w)),
+        "smooth": group.is_smooth(w),
+    }
 
-        _emit(payload, args.json, render)
-        return 0
+    def render(p):
+        print(f"window: {p['window']}")
+        print(f"rank: {p['rank']}")
+        print(f"length: {p['length']}")
+        print(f"interval_rank_counts: {p['interval_rank_counts']}")
+        print(f"smooth: {'yes' if p['smooth'] else 'no'}")
 
-    if args.subcommand == "conjecture":
-        rank = args.rank
-        _guard_size("rank", rank, args.allow_large)
-        report = type_d.verify_conjecture_d(rank, _cap(args.max_reflections))
-        payload = {
-            "schema": "smoothchains.conjecture.v1",
-            **report.to_dict(),
-        }
+    _emit(payload, args.json, render)
+    return 0
 
-        def render(p):
-            print(f"rank: {p['rank']}")
-            print(f"group_size: {p['group_size']}")
-            print(f"smooth_count: {p['smooth_count']}")
-            print(f"checked: {p['checked']}")
-            print(f"simple_order: {'; '.join(p['simple_order'])}")
-            print(f"product_pair_rule: {p['product_pair_rule']}")
-            if p["counterexamples"]:
-                for w in p["counterexamples"]:
-                    print(f"COUNTEREXAMPLE {w}")
-            print(f"result: {'ok' if p['ok'] else 'counterexamples found'}")
 
-        _emit(payload, args.json, render)
-        return 0 if report.ok else 1
+def _cmd_typed_conjecture(args) -> int:
+    _guard_size("rank", args.rank, args.allow_large)
+    report = type_d.verify_conjecture_d(args.rank, _cap(args.max_reflections))
+    payload = {"schema": "smoothchains.conjecture.v1", **report.to_dict()}
 
-    raise CliError(f"unknown typed subcommand {args.subcommand!r}")
+    def render(p):
+        print(f"rank: {p['rank']}")
+        print(f"group_size: {p['group_size']}")
+        print(f"smooth_count: {p['smooth_count']}")
+        print(f"checked: {p['checked']}")
+        print(f"simple_order: {'; '.join(p['simple_order'])}")
+        print(f"product_pair_rule: {p['product_pair_rule']}")
+        if p["counterexamples"]:
+            for w in p["counterexamples"]:
+                print(f"COUNTEREXAMPLE {w}")
+        print(f"result: {'ok' if p['ok'] else 'counterexamples found'}")
+
+    _emit(payload, args.json, render)
+    return 0 if report.ok else 1
 
 
 # ------------------------------------------------------------- parser
@@ -550,15 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.set_defaults(func=_cmd_order)
 
     p_sweep = sub.add_parser("sweep", help="exhaustive or sampled degree-wide checks")
-    p_sweep.add_argument("--mode", choices=ALL_MODES, required=True)
+    p_sweep.add_argument("--mode", choices=SWEEP_MODES, required=True)
     p_sweep.add_argument("--n", type=int, help="degree for type A modes")
     p_sweep.add_argument("--rank", type=int, help="rank for conjecture-d")
-    p_sweep.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("SMOOTHCHAINS_WORKERS", "1")),
-        help="worker processes (default from SMOOTHCHAINS_WORKERS, else 1)",
-    )
+    p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p_sweep.add_argument("--sample", type=int, help="check only this many elements")
     p_sweep.add_argument("--seed", type=int, help="seed for --sample")
     p_sweep.add_argument(
@@ -580,12 +575,12 @@ def build_parser() -> argparse.ArgumentParser:
     t_roots = typed_sub.add_parser("roots", help="positive and simple roots")
     t_roots.add_argument("--rank", type=int, required=True)
     t_roots.add_argument("--json", action="store_true")
-    t_roots.set_defaults(func=_cmd_typed)
+    t_roots.set_defaults(func=_cmd_typed_roots)
 
     t_smooth = typed_sub.add_parser("smooth", help="smoothness of a signed window")
     t_smooth.add_argument("window", help="comma-separated signed integers")
     t_smooth.add_argument("--json", action="store_true")
-    t_smooth.set_defaults(func=_cmd_typed)
+    t_smooth.set_defaults(func=_cmd_typed_smooth)
 
     t_conj = typed_sub.add_parser("conjecture", help="run the conjecture checks")
     t_conj.add_argument("--rank", type=int, required=True)
@@ -597,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t_conj.add_argument("--allow-large", action="store_true")
     t_conj.add_argument("--json", action="store_true")
-    t_conj.set_defaults(func=_cmd_typed)
+    t_conj.set_defaults(func=_cmd_typed_conjecture)
 
     return parser
 

@@ -97,11 +97,6 @@ def _wedge_walk(A: AdmissibleSet):
         A = _drop_first_index(A, i)
 
 
-def construction_steps(A: AdmissibleSet):
-    """Yield (set, wedge) for each wedge step of construct_for_set."""
-    return ((B, wedge) for B, wedge, _ in _wedge_walk(A))
-
-
 def construct_for_set(A: AdmissibleSet) -> ReflectionOrder:
     """A compatible arrangement for an admissible set, built wedge by wedge.
 
@@ -261,10 +256,9 @@ def order_graph(
 
 
 def order_graph_dot(
-    A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
+    vertices: list[ReflectionOrder], edges: list[tuple[int, int]]
 ) -> str:
-    """DOT source for the elementary-move graph with arrangements as labels."""
-    vertices, edges = order_graph(A, max_reflections)
+    """DOT source for an order_graph, with arrangements as labels."""
     lines = ["graph orders {"]
     for v in vertices:
         lines.append(f'  "{order_text(v)}";')

@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 Window = tuple[int, ...]
 Transposition = tuple[int, int]
 
-# Degree guard for text input; sweeps and the CLI stay well below this.
-DEFAULT_MAX_DEGREE = 12
+# Degree guard for text input, and the CLI's hard degree limit.
+MAX_DEGREE = 12
 
 
 def validate_window(window: Sequence[int]) -> Window:
@@ -45,11 +45,11 @@ def identity(n: int) -> Window:
     return tuple(range(1, n + 1))
 
 
-def parse(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Window:
+def parse(text: str) -> Window:
     """Parse one-line notation from text.
 
     Two forms are accepted: a string of digits 1-9 for degrees up to 9,
-    and comma-separated integers for any degree.
+    and comma-separated integers for any degree up to MAX_DEGREE.
 
     >>> parse("35142")
     (3, 5, 1, 4, 2)
@@ -68,10 +68,8 @@ def parse(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Window:
         if not text.isdigit() or "0" in text:
             raise ValueError(f"bad digit-string window: {text!r}")
         values = [int(ch) for ch in text]
-    if len(values) > max_degree:
-        raise ValueError(
-            f"degree {len(values)} exceeds the limit {max_degree}"
-        )
+    if len(values) > MAX_DEGREE:
+        raise ValueError(f"degree {len(values)} exceeds the limit {MAX_DEGREE}")
     return validate_window(values)
 
 

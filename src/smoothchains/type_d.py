@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ordering_engine import capped_orders, fold_orders, is_compatible_order
+from .ordering_engine import capped_orders, fold_orders
 
 Root = tuple[int, ...]
 SignedWindow = tuple[int, ...]
@@ -84,11 +84,6 @@ def simple_roots(n: int) -> tuple[Root, ...]:
 @lru_cache(maxsize=None)
 def _positive_root_set(n: int) -> frozenset[Root]:
     return frozenset(positive_roots(n))
-
-
-def all_roots(n: int) -> tuple[Root, ...]:
-    pos = positive_roots(n)
-    return tuple(sorted(pos + tuple(tuple(-c for c in a) for a in pos)))
 
 
 def tuple_add(a: Root, b: Root) -> Root:
@@ -195,33 +190,6 @@ def sp_compose(u: SignedWindow, v: SignedWindow) -> SignedWindow:
         img = u[abs(val) - 1]
         out.append(img if val > 0 else -img)
     return tuple(out)
-
-
-def sp_inverse(w: SignedWindow) -> SignedWindow:
-    out = [0] * len(w)
-    for pos, val in enumerate(w):
-        out[abs(val) - 1] = (pos + 1) if val > 0 else -(pos + 1)
-    return tuple(out)
-
-
-def act_on_root(w: SignedWindow, alpha: Root) -> Root:
-    """Image of a root: w sends e_a to sign(w(a)) * e_{|w(a)|}."""
-    out = [0] * len(w)
-    for a, c in enumerate(alpha, start=1):
-        if c:
-            img = w[a - 1]
-            out[abs(img) - 1] += c * (1 if img > 0 else -1)
-    return tuple(out)
-
-
-def length_by_roots(w: SignedWindow) -> int:
-    """Number of positive roots sent negative; the Coxeter length."""
-    n = len(w)
-    return sum(
-        1
-        for alpha in positive_roots(n)
-        if not is_positive_root(act_on_root(w, alpha))
-    )
 
 
 def reflection_window(alpha: Root, n: int) -> SignedWindow:
@@ -444,10 +412,6 @@ def admissibility_violation_d(
     return None
 
 
-def is_admissible_d(group: WeylGroupD, A: frozenset[Label]) -> bool:
-    return admissibility_violation_d(group, A) is None
-
-
 # ------------------------------------------------- compatible arrangements
 
 def reflection_roots(A: frozenset[Label]) -> tuple[Root, ...]:
@@ -472,11 +436,6 @@ def summable_pairs(A: frozenset[Label], n: int):
                 ("tt", a, b) in A,
                 ("tt", b, a) in A,
             )
-
-
-def is_compatible_d(order: tuple[Root, ...], A: frozenset[Label], n: int) -> bool:
-    """Check the pair rule; the arrangement must use exactly A's reflections."""
-    return is_compatible_order(order, reflection_roots(A), summable_pairs(A, n))
 
 
 def enumerate_compatible_orders_d(

@@ -73,6 +73,34 @@ def cover_pairs_oracle(n: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
+def interval_rank_counts(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Sizes of the length-graded pieces of the interval [e, w].
+
+    Index d counts the elements x <= w with length d.  The interval is
+    grown downward from w through length-decreasing reflection moves,
+    the definitional closure, with no cover bookkeeping.  Palindromic
+    counts decide rational smoothness, which in type A is smoothness
+    (Carrell-Peterson; Lakshmibai-Sandhya).
+    """
+    lw = brute_length(w)
+    counts = [0] * (lw + 1)
+    counts[lw] = 1
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            lx = brute_length(x)
+            for a, b in all_transp(len(w)):
+                y = swap_positions(x, a, b)
+                if brute_length(y) < lx and y not in seen:
+                    seen.add(y)
+                    counts[brute_length(y)] += 1
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(counts)
+
+
 # ------------------------------------------------------------ patterns
 
 def contains_pattern_brute(w: tuple[int, ...], p: tuple[int, ...]) -> bool:
@@ -179,6 +207,43 @@ def d_negative_count_even(window: tuple[int, ...]) -> bool:
     return sum(1 for v in window if v < 0) % 2 == 0
 
 
+def all_roots(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every type D root of rank n, positive and negative, sorted."""
+    from smoothchains.type_d import positive_roots
+
+    pos = positive_roots(n)
+    return tuple(sorted(pos + tuple(tuple(-c for c in a) for a in pos)))
+
+
+def sp_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Group inverse of a signed window."""
+    out = [0] * len(w)
+    for pos, val in enumerate(w):
+        out[abs(val) - 1] = (pos + 1) if val > 0 else -(pos + 1)
+    return tuple(out)
+
+
+def act_on_root(w: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of a root: w sends e_a to sign(w(a)) * e_{|w(a)|}."""
+    out = [0] * len(w)
+    for a, c in enumerate(alpha, start=1):
+        if c:
+            img = w[a - 1]
+            out[abs(img) - 1] += c * (1 if img > 0 else -1)
+    return tuple(out)
+
+
+def length_by_roots(w: tuple[int, ...]) -> int:
+    """Number of positive roots sent negative; the Coxeter length."""
+    from smoothchains.type_d import is_positive_root, positive_roots
+
+    return sum(
+        1
+        for alpha in positive_roots(len(w))
+        if not is_positive_root(act_on_root(w, alpha))
+    )
+
+
 def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
     """Definitional Bruhat downsets for a type-D Weyl group.
 
@@ -186,12 +251,7 @@ def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
     multiplication that decreases the roots-sent-negative count.
     Independent of the group's graded cover construction.
     """
-    from smoothchains.type_d import (
-        length_by_roots,
-        positive_roots,
-        reflection_window,
-        sp_compose,
-    )
+    from smoothchains.type_d import positive_roots, reflection_window, sp_compose
 
     n = group.rank
     refl = [reflection_window(a, n) for a in positive_roots(n)]
@@ -209,8 +269,6 @@ def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
 
 
 def d_cover_pairs_oracle(group) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    from smoothchains.type_d import length_by_roots
-
     down = d_downsets(group)
     pairs = set()
     for y, ds in down.items():
@@ -236,12 +294,7 @@ def d_reduced_word_counts(group) -> dict[tuple[int, ...], int]:
     the simple reflections s with l(ws) = l(w) - 1, lengths counted as
     roots sent negative.  No reflection orders involved.
     """
-    from smoothchains.type_d import (
-        length_by_roots,
-        reflection_window,
-        simple_roots,
-        sp_compose,
-    )
+    from smoothchains.type_d import reflection_window, simple_roots, sp_compose
 
     n = group.rank
     simples = [reflection_window(a, n) for a in simple_roots(n)]

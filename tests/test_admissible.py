@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothchains.admissible as adm_mod
-from oracles import bruhat_leq_oracle, c_t_by_filter
+from oracles import bruhat_leq_oracle, c_t_by_filter, interval_rank_counts
 from smoothchains.admissible import (
     admissibility_violation,
     all_elements23,
@@ -21,17 +21,13 @@ from smoothchains.admissible import (
     element_sort_key,
     find_wedges,
     format_element,
-    invert_element,
     invert_set,
     is_admissible,
     is_smooth_length,
     is_smooth_pattern,
-    lcycle,
     make_set,
     parse_element,
-    rcycle,
     realize,
-    refl,
     restrict,
     smoothness_witness,
     validate_element,
@@ -62,13 +58,12 @@ def test_module_doctests_pass():
 # ------------------------------------------------------------ elements
 
 def test_constructors_and_validation():
-    assert refl(1, 3) == ("T", 1, 3)
-    assert rcycle(1, 2, 4) == ("R", 1, 2, 4)
-    assert lcycle(2, 3, 5) == ("L", 2, 3, 5)
+    for good in [("T", 1, 3), ("R", 1, 2, 4), ("L", 2, 3, 5)]:
+        assert validate_element(good) == good
     for bad in [
-        lambda: refl(3, 3),
-        lambda: rcycle(1, 3, 2),
-        lambda: lcycle(0, 1, 2),
+        lambda: validate_element(("T", 3, 3)),
+        lambda: validate_element(("R", 1, 3, 2)),
+        lambda: validate_element(("L", 0, 1, 2)),
         lambda: validate_element(("T", 1, 2, 3)),
         lambda: validate_element(("X", 1, 2)),
         lambda: validate_element(("R", 1, 2, 9), degree=4),
@@ -113,15 +108,13 @@ def test_cycle_realizations_compose_from_reflections():
 
 
 def test_invert_element_matches_realized_inverse():
+    # invert_set maps each element label to the label of its inverse
     n = 5
     for e in all_elements23(n):
-        assert realize(invert_element(e), n) == inverse(realize(e, n))
-        assert invert_element(invert_element(e)) == e
-
-
-def test_invert_element_rejects_bad_label():
-    with pytest.raises(ValueError):
-        invert_element(("X", 1, 2))
+        (inverted,) = invert_set(make_set(n, [e])).members
+        assert realize(inverted, n) == inverse(realize(e, n))
+    ground = make_set(n, all_elements23(n))
+    assert invert_set(invert_set(ground)) == ground
 
 
 def test_ground_set_size():
@@ -233,6 +226,21 @@ def test_invert_set_is_c23_of_inverse(n):
 def test_smoothness_criteria_agree(n):
     for w in all_windows(n):
         assert is_smooth_pattern(tuple(w)) == is_smooth_length(tuple(w))
+
+
+def test_palindromic_interval_is_a_third_smoothness_criterion():
+    # [e, w] has palindromic rank counts iff w is smooth (Carrell-Peterson;
+    # Lakshmibai-Sandhya); the counts come from the definitional closure
+    palindromic = []
+    for n in range(1, 6):
+        found = 0
+        for w in all_windows(n):
+            counts = interval_rank_counts(w)
+            smooth = counts == counts[::-1]
+            assert smooth == is_smooth_pattern(w) == is_smooth_length(w), w
+            found += smooth
+        palindromic.append(found)
+    assert palindromic == [1, 2, 6, 22, 88]  # OEIS A032351
 
 
 def test_smooth_counts_by_degree():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from smoothchains.cli import build_parser, main
+from smoothchains.cli import main
 
 CLI = [sys.executable, "-m", "smoothchains.cli"]
 
@@ -118,6 +118,40 @@ def test_order_file_rejects_cycle_lines(tmp_path, capsys):
     code, _, err = run_cli(capsys, "order", "321", "--verify", str(path))
     assert code == 2
     assert "only T(i,j) lines" in err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file or directory"),
+        (b"\xff\xfeT(1,2)\n", "not UTF-8 text"),
+    ],
+    ids=["missing", "binary"],
+)
+def test_order_verify_names_an_unreadable_file(tmp_path, capsys, content, reason):
+    path = tmp_path / "w.order"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "order", "321", "--verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {path}: {reason}\n"
+
+
+def test_order_write_names_an_unwritable_path(tmp_path, capsys):
+    path = tmp_path / "nodir" / "x.order"
+    code, out, err = run_cli(capsys, "order", "321", "--write-order", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_order_file_names_the_line_of_a_malformed_element(tmp_path, capsys):
+    path = tmp_path / "broken.order"
+    path.write_text("T(2,3)\nT(1,3\n")
+    code, _, err = run_cli(capsys, "order", "321", "--verify", str(path))
+    assert code == 2
+    assert err == f"error: {path}:2: bad element text: 'T(1,3'\n"
 
 
 def test_order_refuses_non_smooth(capsys):
@@ -271,14 +305,6 @@ def test_sweep_rejects_unknown_mode(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--mode", "everything", "--n", "4"])
     capsys.readouterr()
-
-
-def test_workers_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("SMOOTHCHAINS_WORKERS", "3")
-    args = build_parser().parse_args(
-        ["sweep", "--mode", "smooth-crosscheck", "--n", "3"]
-    )
-    assert args.workers == 3
 
 
 def test_multi_worker_run_differs_only_in_worker_count(capsys):

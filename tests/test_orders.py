@@ -13,18 +13,15 @@ from smoothchains.admissible import (
     find_wedges,
     invert_set,
     is_smooth_pattern,
-    lcycle,
     make_set,
-    rcycle,
-    refl,
     restrict,
 )
 from smoothchains.orders import (
     NotSmoothError,
     _moves,
+    _wedge_walk,
     construct_compatible_order,
     construct_for_set,
-    construction_steps,
     elementary_neighbors,
     enumerate_compatible_orders,
     graph_connected,
@@ -88,9 +85,9 @@ def test_construct_rejects_non_smooth_with_witness():
 
 
 def test_construction_steps_track_the_recursion():
-    steps = list(construction_steps(c23(parse("321"))))
-    assert [wedge for _, wedge in steps] == [(1, 3), (2, 3)]
-    sizes = [len(A) for A, _ in steps]
+    steps = list(_wedge_walk(c23(parse("321"))))
+    assert [wedge for _, wedge, _ in steps] == [(1, 3), (2, 3)]
+    sizes = [len(A) for A, _, _ in steps]
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -99,7 +96,7 @@ def test_no_restricted_reflection_straddles_the_wedge_pivot(n):
     # inside each recursion level, nothing left in the restricted set
     # crosses the pivot index of the wedge just used
     for w in smooth_windows(n):
-        for A, (i, j) in construction_steps(c23(w)):
+        for A, (i, j), _ in _wedge_walk(c23(w)):
             for (x, y) in restrict(A, (i, j)).reflections:
                 assert not (x < i < y), (w, (i, j), (x, y))
 
@@ -169,8 +166,8 @@ def test_chained_pair_needs_exactly_one_cycle_without_its_sum():
     # Outside the admissible domain: with T(1,2), T(2,3) but no T(1,3),
     # neither 3-cycle or both leave the pair rule nothing to fix the
     # orientation by, so no arrangement is compatible.
-    bare = make_set(3, [refl(1, 2), refl(2, 3)])
-    both = make_set(3, [*bare.members, rcycle(1, 2, 3), lcycle(1, 2, 3)])
+    bare = make_set(3, [("T", 1, 2), ("T", 2, 3)])
+    both = make_set(3, [*bare.members, ("R", 1, 2, 3), ("L", 1, 2, 3)])
     for A in (bare, both):
         assert enumerate_compatible_orders(A) == []
         for arrangement in itertools.permutations(sorted(A.reflections)):
@@ -405,7 +402,7 @@ def test_order_graph_edges_match_neighbors():
 
 
 def test_order_graph_dot_is_syntactically_plausible():
-    dot = order_graph_dot(c23(parse("321")))
+    dot = order_graph_dot(*order_graph(c23(parse("321"))))
     assert dot.startswith("graph")
     assert dot.count("{") == dot.count("}") == 1
     assert dot.count("--") == 1
