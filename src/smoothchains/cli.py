@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from collections import Counter
@@ -35,7 +36,6 @@ from .admissible import (
 from .bruhat import chain_to_dot
 from .orders import (
     DEFAULT_MAX_REFLECTIONS,
-    NotSmoothError,
     _connected,
     construct_compatible_order,
     construct_for_set,
@@ -176,23 +176,17 @@ def _cmd_order(args) -> int:
     if args.verify:
         arrangement = _read_order_file(args.verify)
     else:
-        try:
-            arrangement = construct_compatible_order(w)
-        except NotSmoothError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        arrangement = construct_compatible_order(w)
     report = verify_order(w, arrangement)
     payload["report"] = report.to_dict()
 
     if args.enumerate or args.dot:
         A = c23(w)
         if not is_admissible(A):
-            print(
-                "error: the set below this window is not admissible; "
-                "enumeration is only defined for admissible sets",
-                file=sys.stderr,
+            raise CliError(
+                "the set below this window is not admissible; "
+                "enumeration is only defined for admissible sets"
             )
-            return 1
         if args.dot:
             orders, edges = order_graph(A, cap)
             payload["dot"] = order_graph_dot(orders, edges)
@@ -423,7 +417,7 @@ def _cmd_sweep(args) -> int:
     if len(slices) == 1:
         results = [check(slices[0])]
     else:
-        with Pool(len(slices)) as pool:
+        with Pool(min(len(slices), os.cpu_count() or 1)) as pool:
             results = pool.map(check, slices)
     counters, violations = _merged(results)
 
@@ -553,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mode", choices=SWEEP_MODES, required=True)
     p_sweep.add_argument("--n", type=int, help="degree for type A modes")
     p_sweep.add_argument("--rank", type=int, help="rank for conjecture-d")
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    p_sweep.add_argument("--workers", type=int, default=1, help="population slices, at most one process per CPU (default 1)")
     p_sweep.add_argument("--sample", type=int, help="check only this many elements")
     p_sweep.add_argument("--seed", type=int, help="seed for --sample")
     p_sweep.add_argument(

@@ -181,46 +181,38 @@ def constrained_orders(
 ) -> Iterator[tuple[Item, ...]]:
     """Yield every arrangement of items that the pair rule allows.
 
-    Depth first with an explicit stack; the items that may come next
-    depend only on the placed set, so they are found once per set and
-    kept for this call.  Unsatisfiable pairs simply yield nothing.
-    Pairs naming unknown items are rejected.
+    Depth first, one recursion level per placed item; the items that
+    may come next depend only on the placed set, so they are found once
+    per set and kept for this call.  Unsatisfiable pairs simply yield
+    nothing.  Pairs naming unknown items are rejected.
     """
     ordered, placeable = _placement_rule(items, pairs)
     k = len(ordered)
-    full = (1 << k) - 1
     # placed bitmask -> (bit, item) for each item that may come next
     steps: dict[int, list[tuple[int, Item]]] = {}
 
-    def enabled(placed: int) -> Iterator[tuple[int, Item]]:
+    def steps_from(placed: int) -> list[tuple[int, Item]]:
         found = steps.get(placed)
         if found is None:
             found = steps[placed] = [
                 (1 << p, ordered[p]) for p in range(k)
                 if not (placed >> p) & 1 and placeable(p, placed)
             ]
-        return iter(found)
+        return found
 
-    def search() -> Iterator[tuple[Item, ...]]:
-        if not k:
-            yield ()
-            return
-        prefix: list[Item] = []
-        stack = [(enabled(0), 0)]
-        while stack:
-            rest, placed = stack[-1]
-            step = next(rest, None)
-            if step is None:
-                stack.pop()
-                if prefix:
-                    prefix.pop()
-                continue
-            bit, item = step
-            placed |= bit
-            if placed == full:
-                yield (*prefix, item)
-            else:
-                prefix.append(item)
-                stack.append((enabled(placed), placed))
+    return _arrangements(steps_from, (1 << k) - 1, 0, ())
 
-    return search()
+
+def _arrangements(
+    steps_from: Callable[[int], list], full: int, placed: int, arranged: tuple
+) -> Iterator[tuple[Item, ...]]:
+    """Every arrangement that completes arranged, whose items are placed.
+
+    At module level, so no reference cycle keeps the memo alive after
+    the listing ends, as a nested function calling itself would.
+    """
+    if placed == full:
+        yield arranged
+        return
+    for bit, item in steps_from(placed):
+        yield from _arrangements(steps_from, full, placed | bit, arranged + (item,))

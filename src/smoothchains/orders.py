@@ -77,39 +77,24 @@ def enumerate_compatible_orders(
     return capped_orders(A.reflections, reflection_pairs(A), max_reflections)
 
 
-def _wedge_walk(A: AdmissibleSet):
-    """Yield (set, wedge, inverted) for each wedge step of the build.
-
-    A set without a wedge is replaced by its inverse set, which has one;
-    inverted says whether the current set is on the inverse side of A.
-    """
-    inverted = False
-    while A.members:
-        wedges = find_wedges(A)
-        if not wedges:
-            A = invert_set(A)
-            inverted = not inverted
-            wedges = find_wedges(A)
-            if not wedges:
-                raise ValueError("no wedge on either side; set is not admissible")
-        i, j = wedges[0]
-        yield A, (i, j), inverted
-        A = _drop_first_index(A, i)
-
-
 def construct_for_set(A: AdmissibleSet) -> ReflectionOrder:
-    """A compatible arrangement for an admissible set, built wedge by wedge.
+    """A compatible arrangement for an admissible set: the wedge recursion.
 
-    With wedge (i, j) the block T(i, j), T(i, j-1), ..., T(i, i+1) comes
-    after an arrangement for the restricted set.  A set without a wedge
-    takes the reverse of its inverse set's arrangement, so a block found
-    on the inverse side goes reversed, before the blocks found after it.
+    With first wedge (i, j), an arrangement for the set restricted at
+    (i, j) is followed by T(i, j), T(i, j-1), ..., T(i, i+1).  A set
+    without a wedge takes the reverse of its inverse set's arrangement.
     """
-    order: ReflectionOrder = ()
-    for _, (i, j), inverted in reversed(list(_wedge_walk(A))):
+    if not A.members:
+        return ()
+    wedges = find_wedges(A)
+    if wedges:
+        i, j = wedges[0]
         block = tuple((i, r) for r in range(j, i, -1))
-        order = block[::-1] + order if inverted else order + block
-    return order
+        return construct_for_set(_drop_first_index(A, i)) + block
+    inverted = invert_set(A)
+    if not find_wedges(inverted):
+        raise ValueError("no wedge on either side; set is not admissible")
+    return construct_for_set(inverted)[::-1]
 
 
 def construct_compatible_order(w: Window) -> ReflectionOrder:

@@ -356,7 +356,7 @@ def test_wedge_fallback_pair_golden():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_window_wedge_test_agrees_with_set_definition(n):
-    for w in smooth_windows(n):
+    for w in all_windows(n):
         from_set = set(find_wedges(c23(w)))
         from_window = {
             (i, j)
@@ -373,7 +373,10 @@ def test_wedge_window_test_validates_indices():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_smooth_nonidentity_has_wedge_on_some_side(n):
-    for w in smooth_windows(n):
+    # holds on every window, smooth or not: at the first i with w(i) != i,
+    # (i, w^{-1}(i)) is a wedge when w(i) >= w^{-1}(i), else the inverse
+    # side has (i, w(i))
+    for w in all_windows(n):
         if w == identity(n):
             continue
         A = c23(w)
@@ -390,6 +393,18 @@ def test_wedge_pins_down_reflections_moving_its_lower_index(n):
 
 
 # --------------------------------------------------------- restriction
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_restricting_at_a_wedge_leaves_the_set_below_the_peeled_window(n):
+    # (i, j) a wedge of c23(w): dropping index i leaves c23(w * T(i,i+1) ... T(i,j))
+    for w in smooth_windows(n):
+        A = c23(w)
+        for i, j in find_wedges(A):
+            x = list(w)
+            for r in range(i + 1, j + 1):
+                x[i - 1], x[r - 1] = x[r - 1], x[i - 1]
+            assert restrict(A, (i, j)) == c23(tuple(x)), (w, (i, j))
+
 
 def test_restrict_golden():
     A = c23(parse("321"))

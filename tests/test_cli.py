@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from smoothchains import cli
 from smoothchains.cli import main
 
 CLI = [sys.executable, "-m", "smoothchains.cli"]
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def run_cli(capsys, *argv):
@@ -156,9 +159,23 @@ def test_order_file_names_the_line_of_a_malformed_element(tmp_path, capsys):
 
 def test_order_refuses_non_smooth(capsys):
     code, _, err = run_cli(capsys, "order", "4231")
-    assert code == 1
+    assert code == 2
     assert "not smooth" in err
     assert "4231" in err
+
+
+def test_order_refuses_enumerating_a_non_admissible_set(tmp_path, capsys):
+    # an arrangement of the five reflections below 3412 verifies, but the
+    # set below 3412 is not admissible, so there is nothing to enumerate
+    path = tmp_path / "3412.order"
+    path.write_text("T(1,2)\nT(1,3)\nT(2,3)\nT(2,4)\nT(3,4)\n")
+    code, out, err = run_cli(capsys, "order", "3412", "--verify", str(path), "--enumerate")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the set below this window is not admissible; "
+        "enumeration is only defined for admissible sets\n"
+    )
 
 
 def test_order_enumerate_lists_all(capsys):
@@ -328,6 +345,34 @@ def test_more_workers_than_elements_matches_one_worker(capsys, n, workers):
     assert solo == multi
 
 
+def test_workers_beyond_the_cpu_count_start_no_more_processes(capsys, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli, "Pool", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    argv = ["sweep", "--mode", "theorem-verify", "--n", "4"]
+    _, solo = run_json(capsys, *argv)
+    _, many = run_json(capsys, *argv, "--workers", "1000")
+    # the 22 smooth windows of S4 make 22 one-window slices, on 4 processes
+    assert started == [4]
+    assert many.pop("workers") == 1000
+    solo.pop("workers")
+    assert solo == many
+
+
 def test_sweep_json_is_byte_identical_across_runs():
     argv = CLI + [
         "sweep", "--mode", "enumerate-orders", "--n", "4",
@@ -411,3 +456,18 @@ def test_typed_conjecture_human_output_names_the_order_config(capsys):
     assert code == 0
     assert "simple_order: e2-e1 rank 2; e3-e2 rank 3; e2+e1 rank 2" in out
     assert "result: ok" in out
+
+
+# -------------------------------------------------------------- golden
+
+GOLDEN_CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[" ".join(c["argv"]) for c in GOLDEN_CASES]
+)
+def test_cli_output_matches_golden(capsys, case):
+    # each case holds what main(argv) returned and wrote, byte for byte;
+    # a case is rewritten only when its output is meant to change
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

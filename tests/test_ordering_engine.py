@@ -91,3 +91,13 @@ def test_fold_refuses_over_the_cap_as_listing_does():
         fold_orders(items, [], 2, _append, ())
     assert str(folded.value) == str(listed.value)
     assert str(folded.value).startswith("3 reflections exceed the enumeration cap 2")
+
+
+def test_a_long_forced_chain_lists_and_folds_to_one_arrangement():
+    # 200 items that no-mid pairs force into one chain: the listing
+    # recurses once per item, three times the 66 reflections below the
+    # longest element of degree 12, and still below the recursion limit
+    items = list(range(200))
+    pairs = [(p, p + 1, None, True, False) for p in range(199)]
+    assert capped_orders(items, pairs, None) == [tuple(items)]
+    assert fold_orders(items, pairs, None, _append, ()) == {tuple(items): 1}

@@ -19,7 +19,6 @@ from smoothchains.admissible import (
 from smoothchains.orders import (
     NotSmoothError,
     _moves,
-    _wedge_walk,
     construct_compatible_order,
     construct_for_set,
     elementary_neighbors,
@@ -84,10 +83,23 @@ def test_construct_rejects_non_smooth_with_witness():
         construct_compatible_order(parse("3412"))
 
 
+def wedge_levels(A):
+    """(set, wedge) at each level of the wedge recursion on A.
+
+    A set without a wedge is replaced by its inverse set, which has one.
+    """
+    while A.members:
+        if not find_wedges(A):
+            A = invert_set(A)
+        wedge = find_wedges(A)[0]
+        yield A, wedge
+        A = restrict(A, wedge)
+
+
 def test_construction_steps_track_the_recursion():
-    steps = list(_wedge_walk(c23(parse("321"))))
-    assert [wedge for _, wedge, _ in steps] == [(1, 3), (2, 3)]
-    sizes = [len(A) for A, _, _ in steps]
+    steps = list(wedge_levels(c23(parse("321"))))
+    assert [wedge for _, wedge in steps] == [(1, 3), (2, 3)]
+    sizes = [len(A) for A, _ in steps]
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -96,7 +108,7 @@ def test_no_restricted_reflection_straddles_the_wedge_pivot(n):
     # inside each recursion level, nothing left in the restricted set
     # crosses the pivot index of the wedge just used
     for w in smooth_windows(n):
-        for A, (i, j), _ in _wedge_walk(c23(w)):
+        for A, (i, j) in wedge_levels(c23(w)):
             for (x, y) in restrict(A, (i, j)).reflections:
                 assert not (x < i < y), (w, (i, j), (x, y))
 
@@ -104,7 +116,7 @@ def test_no_restricted_reflection_straddles_the_wedge_pivot(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_construct_for_set_matches_the_recursive_build(n):
     def recursive(A):
-        # the wedge recursion written out, as a reference for the walk
+        # the wedge recursion written out independently, as a reference
         if not A.members:
             return ()
         wedges = find_wedges(A)
