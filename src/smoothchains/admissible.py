@@ -127,10 +127,7 @@ def _below_within_ground(n: int) -> dict[Element, frozenset[Element]]:
 
 def element23_leq(elem: Element, w: Window) -> bool:
     """Is the realized element below w in Bruhat order?"""
-    kind, *idx = validate_element(elem, len(w))
-    if kind == "T":
-        return bruhat.reflection_leq(tuple(idx), w)
-    return _cycle_below(kind, *idx, mu(w), mu(inverse(w)))
+    return validate_element(elem, len(w)) in c23(w).members
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def make_set(degree: int, members: Iterable[Element]) -> AdmissibleSet:
 
 def invert_set(A: AdmissibleSet) -> AdmissibleSet:
     """Member-wise inverse; the ground set below w^{-1} when A is the one below w."""
-    # no re-validation: every set comes from make_set, c23, restrict or invert_set
+    # no re-validation: sets come from make_set (validated), c23, restrict, invert_set
     inverted = frozenset((_INVERSE_KIND[e[0]], *e[1:]) for e in A.members)
     return AdmissibleSet(A.degree, inverted)
 
@@ -186,13 +183,6 @@ def c_t(w: Window) -> frozenset[Transposition]:
     )
 
 
-def _cycle_below(kind: str, i: int, j: int, k: int, m, mi) -> bool:
-    # m = mu(w), mi = mu(w^{-1}); L = R^{-1} swaps their roles.
-    if kind == "L":
-        m, mi = mi, m
-    return m[i - 1] >= j and m[j - 1] >= k and mi[i - 1] >= k
-
-
 def c23(w: Window) -> AdmissibleSet:
     """All ground elements below w in Bruhat order, from running maxima.
 
@@ -201,15 +191,18 @@ def c23(w: Window) -> AdmissibleSet:
     [j, k-1] x (i, k] (Fulton, Duke Math. J. 1992; Bjorner-Brenti, Thm 2.1.5).
     A cell p < q there needs max w(1..p) >= q, a cell p >= q needs
     max w^{-1}(1..q-1) > p; both maxima grow with their index, so the
-    corners decide: R(i, j, k) <= w iff mu(w)[i] >= j, mu(w)[j] >= k and
-    mu(w^{-1})[i] >= k (1-based); L(i, j, k) <= w iff R(i, j, k) <= w^{-1}.
+    corners decide: with (a, b) = (mu(w), mu(w^{-1})) and 1-based indices,
+    R(i, j, k) <= w iff j <= a[i] and k <= min(a[j], b[i]): one range of k
+    per j < b[i].  L(i, j, k) <= w iff R(i, j, k) <= w^{-1} (a, b swapped).
     """
     m, mi = mu(w), mu(inverse(w))
     members = [("T", i, j) for i, j in c_t(w)]
-    for i, j, k in itertools.combinations(range(1, len(w) + 1), 3):
-        for kind in ("R", "L"):
-            if _cycle_below(kind, i, j, k, m, mi):
-                members.append((kind, i, j, k))
+    for kind, a, b in (("R", m, mi), ("L", mi, m)):
+        members += [
+            (kind, i, j, k) for i in range(1, len(w) + 1)
+            for j in range(i + 1, min(a[i - 1], b[i - 1] - 1) + 1)
+            for k in range(j + 1, min(a[j - 1], b[i - 1]) + 1)
+        ]
     return AdmissibleSet(len(w), frozenset(members))
 
 
@@ -305,14 +298,22 @@ def find_wedges(A: AdmissibleSet) -> tuple[Transposition, ...]:
     (i, j) is a wedge when T(i, j) is a member, T(i-1, i) is not (vacuous
     for i = 1), and R(i, j, j+1) is not (vacuous for j = degree).
     """
-    out = []
-    for (i, j) in sorted(A.reflections):
-        if i > 1 and ("T", i - 1, i) in A.members:
+    return tuple(_wedges(A, sorted(A.reflections), 0, "R"))
+
+
+def _wedges(A: AdmissibleSet, refls, dropped: int, side: str):
+    """Wedges, in order, of A less the members whose first index is a bit of
+    dropped; on side "L" of its inverse set, whose R(i, j, j+1) is A's
+    L(i, j, j+1).  refls is sorted(A.reflections)."""
+    members = A.members
+    for (i, j) in refls:
+        if dropped >> i & 1:
             continue
-        if j < A.degree and ("R", i, j, j + 1) in A.members:
+        if i > 1 and not dropped >> (i - 1) & 1 and ("T", i - 1, i) in members:
             continue
-        out.append((i, j))
-    return tuple(out)
+        if j < A.degree and (side, i, j, j + 1) in members:
+            continue
+        yield (i, j)
 
 
 def restrict(A: AdmissibleSet, wedge: Transposition) -> AdmissibleSet:
@@ -323,12 +324,7 @@ def restrict(A: AdmissibleSet, wedge: Transposition) -> AdmissibleSet:
     """
     if wedge not in find_wedges(A):
         raise ValueError(f"{wedge} is not a wedge of the set")
-    return _drop_first_index(A, wedge[0])
-
-
-def _drop_first_index(A: AdmissibleSet, i: int) -> AdmissibleSet:
-    # restrict minus the wedge check, for a wedge find_wedges just returned
-    return AdmissibleSet(A.degree, frozenset(e for e in A.members if e[1] != i))
+    return AdmissibleSet(A.degree, frozenset(e for e in A.members if e[1] != wedge[0]))
 
 
 def wedge_window_test(w: Window, i: int, j: int) -> bool:

@@ -35,11 +35,9 @@ from dataclasses import dataclass
 from . import bruhat
 from .admissible import (
     AdmissibleSet,
-    _drop_first_index,
+    _wedges,
     c23,
     c_t,
-    find_wedges,
-    invert_set,
     is_smooth_pattern,
     reflection_pairs,
     smoothness_witness,
@@ -83,18 +81,24 @@ def construct_for_set(A: AdmissibleSet) -> ReflectionOrder:
     With first wedge (i, j), an arrangement for the set restricted at
     (i, j) is followed by T(i, j), T(i, j-1), ..., T(i, i+1).  A set
     without a wedge takes the reverse of its inverse set's arrangement.
+    No set is built: a level is A or its inverse under a first-index mask.
     """
-    if not A.members:
+    firsts = sum({1 << e[1] for e in A.members})  # mask of first indices
+    return _construct(A, sorted(A.reflections), firsts, 0, "R")
+
+
+def _construct(A, refls, firsts, dropped, side) -> ReflectionOrder:
+    if not firsts & ~dropped:  # every member dropped
         return ()
-    wedges = find_wedges(A)
-    if wedges:
-        i, j = wedges[0]
+    wedge = next(_wedges(A, refls, dropped, side), None)
+    if wedge is not None:
+        i, j = wedge
         block = tuple((i, r) for r in range(j, i, -1))
-        return construct_for_set(_drop_first_index(A, i)) + block
-    inverted = invert_set(A)
-    if not find_wedges(inverted):
+        return _construct(A, refls, firsts, dropped | 1 << i, side) + block
+    flipped = "L" if side == "R" else "R"
+    if next(_wedges(A, refls, dropped, flipped), None) is None:
         raise ValueError("no wedge on either side; set is not admissible")
-    return construct_for_set(inverted)[::-1]
+    return _construct(A, refls, firsts, dropped, flipped)[::-1]
 
 
 def construct_compatible_order(w: Window) -> ReflectionOrder:

@@ -201,6 +201,73 @@ def reference_moves(order) -> list[tuple]:
     return out
 
 
+# ------------------------------------------- ground set, wedges, ideals
+
+def ground_labels(n: int) -> list[tuple]:
+    """T(i, j), R(i, j, k) and L(i, j, k) labels of degree n, unsorted."""
+    triples = itertools.combinations(range(1, n + 1), 3)
+    return [("T", i, j) for i, j in all_transp(n)] + [
+        (kind, i, j, k) for i, j, k in triples for kind in "RL"
+    ]
+
+
+def realize_label(label: tuple, n: int) -> tuple[int, ...]:
+    """The label as a window: T(i, j) swaps i and j, R(i, j, k) sends
+    i -> j -> k -> i and L(i, j, k) sends i -> k -> j -> i."""
+    kind, *idx = label
+    cycle = idx if kind != "L" else idx[::-1]
+    out = list(range(1, n + 1))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        out[a - 1] = b
+    return tuple(out)
+
+
+def ground_ideals(n: int) -> list[frozenset]:
+    """Every down-closed subset of the degree-n ground set.
+
+    Labels are compared through bruhat_downsets on their realizations.
+    They are decided in order of length, so everything below a label is
+    decided before it, and a label is taken only on top of all of those.
+    """
+    down = bruhat_downsets(n)
+    window = {lab: realize_label(lab, n) for lab in ground_labels(n)}
+    labels = sorted(window, key=lambda lab: brute_length(window[lab]))
+    below = {
+        lab: {x for x in labels if x != lab and window[x] in down[window[lab]]}
+        for lab in labels
+    }
+    ideals = []
+
+    def grow(pos: int, chosen: set) -> None:
+        if pos == len(labels):
+            ideals.append(frozenset(chosen))
+            return
+        grow(pos + 1, chosen)
+        if below[labels[pos]] <= chosen:
+            grow(pos + 1, chosen | {labels[pos]})
+
+    grow(0, set())
+    return ideals
+
+
+def wedges_by_definition(members: frozenset) -> list[tuple[int, int]]:
+    """Wedges (i, j) of a set of labels, lexicographically: T(i, j) is a
+    member, T(i-1, i) is not, and R(i, j, j+1) is not."""
+    return sorted(
+        (e[1], e[2])
+        for e in members
+        if e[0] == "T"
+        and ("T", e[1] - 1, e[1]) not in members
+        and ("R", e[1], e[2], e[2] + 1) not in members
+    )
+
+
+def invert_labels(members: frozenset) -> frozenset:
+    """Each label replaced by its inverse's: R and L swap, T stays."""
+    flip = {"T": "T", "R": "L", "L": "R"}
+    return frozenset((flip[e[0]], *e[1:]) for e in members)
+
+
 # ------------------------------------------------------------- type D
 
 def d_negative_count_even(window: tuple[int, ...]) -> bool:

@@ -11,8 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothchains.admissible as adm_mod
-from oracles import bruhat_leq_oracle, c_t_by_filter, interval_rank_counts
+from oracles import (
+    bruhat_leq_oracle,
+    c_t_by_filter,
+    ground_ideals,
+    interval_rank_counts,
+    invert_labels,
+    wedges_by_definition,
+)
 from smoothchains.admissible import (
+    _wedges,
     admissibility_violation,
     all_elements23,
     c23,
@@ -33,7 +41,7 @@ from smoothchains.admissible import (
     validate_element,
     wedge_window_test,
 )
-from smoothchains.bruhat import leq
+from smoothchains.bruhat import leq, rank_matrix
 from smoothchains.permutations import (
     all_transpositions,
     all_windows,
@@ -191,6 +199,23 @@ def test_c23_matches_rank_matrix_leq(n, smooth_only):
         assert c23(w).members == expect, w
 
 
+@pytest.mark.slow
+def test_c23_matches_rank_matrix_dominance_on_every_window_up_to_s8():
+    # about 45 s: every window of S1..S8 against the rank-matrix downset
+    def dominated(x, y):
+        return all(a <= b for p, q in zip(x, y) for a, b in zip(p, q))
+
+    windows = mismatches = 0
+    for n in range(1, 9):
+        ranks = {e: rank_matrix(realize(e, n)) for e in all_elements23(n)}
+        for w in all_windows(n):
+            rw = rank_matrix(w)
+            expect = {e for e, r in ranks.items() if dominated(r, rw)}
+            windows += 1
+            mismatches += c23(w).members != expect
+    assert (windows, mismatches) == (46233, 0)
+
+
 def test_element23_leq_matches_rank_matrix_leq_on_s5():
     for w in all_windows(5):
         for e in all_elements23(5):
@@ -276,6 +301,21 @@ def test_witness_exists_iff_not_smooth(w):
 def test_full_sets_below_smooth_elements_are_admissible(n):
     for w in smooth_windows(n):
         assert is_admissible(c23(w)), w
+
+
+@pytest.mark.parametrize(
+    "n, ideals, admissible", [(2, 2, 2), (3, 8, 6), (4, 66, 22), (5, 1335, 88)]
+)
+def test_admissible_ideals_are_exactly_the_sets_below_smooth_windows(
+    n, ideals, admissible
+):
+    # ideals of the ground set from the definitional Bruhat order; the
+    # admissible ones are the c23 sets of smooth windows (OEIS A032351)
+    found = ground_ideals(n)
+    assert len(found) == ideals
+    kept = {I for I in found if admissibility_violation(make_set(n, I)) is None}
+    assert len(kept) == admissible
+    assert kept == {c23(w).members for w in smooth_windows(n)}
 
 
 def test_closure_violation():
@@ -364,6 +404,19 @@ def test_window_wedge_test_agrees_with_set_definition(n):
             if wedge_window_test(w, i, j)
         }
         assert from_set == from_window, w
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_masked_wedges_are_the_wedges_of_the_derived_set(n):
+    # _wedges reads a restricted, possibly inverted set off A itself
+    for w in all_windows(n):
+        A = c23(w)
+        refls = sorted(A.reflections)
+        for dropped in range(0, 1 << (n + 1), 2):
+            kept = frozenset(e for e in A.members if not dropped >> e[1] & 1)
+            for side, derived in (("R", kept), ("L", invert_labels(kept))):
+                expect = wedges_by_definition(derived)
+                assert list(_wedges(A, refls, dropped, side)) == expect, (w, dropped)
 
 
 def test_wedge_window_test_validates_indices():

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from oracles import compatible_orders_brute, reference_moves, reference_verify_order
+from oracles import (
+    compatible_orders_brute,
+    invert_labels,
+    reference_moves,
+    reference_verify_order,
+    wedges_by_definition,
+)
 from smoothchains.admissible import (
     admissibility_violation,
     c23,
@@ -115,23 +122,35 @@ def test_no_restricted_reflection_straddles_the_wedge_pivot(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_construct_for_set_matches_the_recursive_build(n):
-    def recursive(A):
-        # the wedge recursion written out independently, as a reference
-        if not A.members:
+    def recursive(members):
+        # the wedge recursion on plain label sets, from the oracle's wedges
+        if not members:
             return ()
-        wedges = find_wedges(A)
+        wedges = wedges_by_definition(members)
         if wedges:
             i, j = wedges[0]
-            inner = recursive(restrict(A, (i, j)))
+            inner = recursive(frozenset(e for e in members if e[1] != i))
             return inner + tuple((i, r) for r in range(j, i, -1))
-        inverted = invert_set(A)
-        if not find_wedges(inverted):
+        inverted = invert_labels(members)
+        if not wedges_by_definition(inverted):
             raise ValueError("no wedge on either side")
         return tuple(reversed(recursive(inverted)))
 
     for w in smooth_windows(n):
         for A in (c23(w), invert_set(c23(w))):
-            assert construct_for_set(A) == recursive(A), w
+            assert construct_for_set(A) == recursive(A.members), w
+
+
+@pytest.mark.slow
+def test_construction_over_s1_to_s8_is_unchanged():
+    # a digest of both sides' arrangements for all 8,689 smooth windows
+    digest = hashlib.sha256()
+    windows = [w for n in range(1, 9) for w in smooth_windows(n)]
+    for w in windows:
+        A = c23(w)
+        built = (w, construct_for_set(A), construct_for_set(invert_set(A)))
+        digest.update(repr(built).encode())
+    assert (len(windows), digest.hexdigest()[:16]) == (8689, "c5497628e2e83bb4")
 
 
 def test_construct_for_set_raises_without_any_wedge():
