@@ -176,33 +176,36 @@ def c_t(w: Window) -> frozenset[Transposition]:
     T(i, j) <= w iff j <= min(mu(w)[i], mu(w^{-1})[i]) (1-based), the
     bound bruhat.reflection_bounds gives, so each i contributes a range.
     """
-    return frozenset(
-        (i, j)
-        for i, top in enumerate(bruhat.reflection_bounds(w), start=1)
+    return frozenset(_reflection_ranges(w))
+
+
+def _reflection_ranges(w: Window) -> list[Transposition]:
+    # (i, j) for i < j <= reflection_bounds(w)[i], the T(i, j) below w
+    return [
+        (i, j) for i, top in enumerate(bruhat.reflection_bounds(w), start=1)
         for j in range(i + 1, top + 1)
-    )
+    ]
 
 
 def c23(w: Window) -> AdmissibleSet:
     """All ground elements below w in Bruhat order, from running maxima.
 
-    Reflections are c_t(w).  R(i, j, k) exceeds the identity's rank matrix
+    Reflections are the T(i, j) ranges that c_t(w) also reads off
+    bruhat.reflection_bounds(w).  R(i, j, k) exceeds the identity's rank matrix
     (rows p, columns q) by one exactly on [i, j-1] x (i, j] and
     [j, k-1] x (i, k] (Fulton, Duke Math. J. 1992; Bjorner-Brenti, Thm 2.1.5).
     A cell p < q there needs max w(1..p) >= q, a cell p >= q needs
     max w^{-1}(1..q-1) > p; both maxima grow with their index, so the
     corners decide: with (a, b) = (mu(w), mu(w^{-1})) and 1-based indices,
-    R(i, j, k) <= w iff j <= a[i] and k <= min(a[j], b[i]): one range of k
-    per j < b[i].  L(i, j, k) <= w iff R(i, j, k) <= w^{-1} (a, b swapped).
+    R(i, j, k) <= w iff j <= a[i] and k <= min(a[j], b[i]), which forces
+    T(i, j) <= w: one range of k under each T(i, j).
+    L(i, j, k) <= w iff R(i, j, k) <= w^{-1} (a, b swapped).
     """
     m, mi = mu(w), mu(inverse(w))
-    members = [("T", i, j) for i, j in c_t(w)]
-    for kind, a, b in (("R", m, mi), ("L", mi, m)):
-        members += [
-            (kind, i, j, k) for i in range(1, len(w) + 1)
-            for j in range(i + 1, min(a[i - 1], b[i - 1] - 1) + 1)
-            for k in range(j + 1, min(a[j - 1], b[i - 1]) + 1)
-        ]
+    refls = _reflection_ranges(w)
+    members = [("T", i, j) for i, j in refls]
+    members += [("R", i, j, k) for i, j in refls for k in range(j + 1, min(m[j - 1], mi[i - 1]) + 1)]
+    members += [("L", i, j, k) for i, j in refls for k in range(j + 1, min(mi[j - 1], m[i - 1]) + 1)]
     return AdmissibleSet(len(w), frozenset(members))
 
 

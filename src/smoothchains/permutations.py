@@ -235,7 +235,7 @@ def contains_pattern(w: Window, p: Window) -> bool:
     """Does the window w contain the pattern p?
 
     The two patterns that decide smoothness get dedicated quadratic
-    scans; any other pattern falls back to a brute subsequence search.
+    scans; any other pattern asks pattern_witness for an occurrence.
 
     >>> contains_pattern((3, 5, 1, 4, 2), (3, 4, 1, 2))
     True
@@ -247,11 +247,7 @@ def contains_pattern(w: Window, p: Window) -> bool:
         return _contains_3412(w)
     if p == (4, 2, 3, 1):
         return _contains_4231(w)
-    k = len(p)
-    return any(
-        _standardize([w[i] for i in combo]) == p
-        for combo in itertools.combinations(range(len(w)), k)
-    )
+    return pattern_witness(w, p) is not None
 
 
 def pattern_witness(w: Window, p: Window) -> tuple[int, ...] | None:

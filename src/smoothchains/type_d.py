@@ -26,6 +26,7 @@ enumerate_compatible_orders_d, the reference for the fold.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -44,9 +45,10 @@ PRODUCT_PAIR_RULE = "same-decomposition orientations"
 
 # ---------------------------------------------------------------- roots
 
-def _basis(n: int, idx: int, sign: int = 1) -> Root:
+def _root(n: int, i: int, j: int, sign: int) -> Root:
+    """e_j + sign * e_i as a coefficient tuple over e_1..e_n (i < j)."""
     out = [0] * n
-    out[idx - 1] = sign
+    out[j - 1], out[i - 1] = 1, sign
     return tuple(out)
 
 
@@ -55,30 +57,31 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"type D needs rank >= {MIN_RANK}, got {n}")
 
 
+def _indices(alpha: Root) -> tuple[int, int, int]:
+    """(i, j, sign) with alpha = e_j + sign * e_i and i < j; inverse of _root."""
+    support = [(k, c) for k, c in enumerate(alpha, start=1) if c]
+    if len(support) == 2 and support[0][1] in (1, -1) and support[1][1] == 1:
+        (i, sign), (j, _) = support
+        return i, j, sign
+    raise ValueError(f"not a positive type D root: {alpha}")
+
+
 @lru_cache(maxsize=None)
 def positive_roots(n: int) -> tuple[Root, ...]:
     """e_j - e_i and e_j + e_i for j > i, sorted as coefficient tuples."""
     _check_rank(n)
-    roots = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        minus = [0] * n
-        minus[j - 1], minus[i - 1] = 1, -1
-        plus = [0] * n
-        plus[j - 1], plus[i - 1] = 1, 1
-        roots.append(tuple(minus))
-        roots.append(tuple(plus))
-    return tuple(sorted(roots))
+    return tuple(sorted(
+        _root(n, i, j, sign)
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+        for sign in (-1, 1)
+    ))
 
 
 @lru_cache(maxsize=None)
 def simple_roots(n: int) -> tuple[Root, ...]:
     """Consecutive differences plus e_2 + e_1, in that listing order."""
     _check_rank(n)
-    simples = [
-        tuple_sub(_basis(n, i + 1), _basis(n, i)) for i in range(1, n)
-    ]
-    simples.append(tuple_add(_basis(n, 2), _basis(n, 1)))
-    return tuple(simples)
+    return tuple(_root(n, j - 1, j, -1) for j in range(2, n + 1)) + (_root(n, 1, 2, 1),)
 
 
 @lru_cache(maxsize=None)
@@ -88,10 +91,6 @@ def _positive_root_set(n: int) -> frozenset[Root]:
 
 def tuple_add(a: Root, b: Root) -> Root:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def tuple_sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def is_positive_root(alpha: Root) -> bool:
@@ -104,50 +103,38 @@ def root_text(alpha: Root) -> str:
     >>> root_text((-1, 0, 1))
     'e3-e1'
     """
-    support = [(i + 1, c) for i, c in enumerate(alpha) if c]
-    if len(support) != 2 or {abs(c) for _, c in support} != {1}:
-        raise ValueError(f"not a type D root: {alpha}")
-    (i, ci), (j, cj) = support
-    if cj != 1:
-        raise ValueError(f"not a positive type D root: {alpha}")
-    return f"e{j}{'+' if ci == 1 else '-'}e{i}"
+    i, j, sign = _indices(alpha)
+    return f"e{j}{'+' if sign == 1 else '-'}e{i}"
+
+
+_ROOT_TEXT = re.compile(r"e(\d+)([+-])e(\d+)")
 
 
 def parse_root(text: str, n: int) -> Root:
     """Inverse of root_text for degree n."""
     text = text.strip().replace(" ", "")
-    for sep, sign in (("+", 1), ("-", -1)):
-        if sep in text[1:]:
-            left, right = text.split(sep, 1)
-            if left.startswith("e") and right.startswith("e"):
-                j, i = int(left[1:]), int(right[1:])
-                if not 1 <= i < j <= n:
-                    raise ValueError(f"bad root text: {text!r}")
-                out = [0] * n
-                out[j - 1], out[i - 1] = 1, sign
-                return tuple(out)
+    match = _ROOT_TEXT.fullmatch(text)
+    if match:
+        j, i = int(match[1]), int(match[3])
+        if 1 <= i < j <= n:
+            return _root(n, i, j, 1 if match[2] == "+" else -1)
     raise ValueError(f"bad root text: {text!r}")
 
 
 def root_poset_covers(n: int) -> tuple[tuple[Root, Root], ...]:
-    """Pairs (alpha, beta) with beta - alpha simple, sorted."""
+    """Pairs (alpha, alpha + s) with s simple and alpha + s positive, sorted."""
     pos = _positive_root_set(n)
-    simples = set(simple_roots(n))
-    out = [
+    return tuple(sorted(
         (a, b)
-        for a in pos
-        for b in pos
-        if tuple_sub(b, a) in simples
-    ]
-    return tuple(sorted(out))
+        for a in positive_roots(n)
+        for s in simple_roots(n)
+        if (b := tuple_add(a, s)) in pos
+    ))
 
 
 def simple_rank(alpha: Root) -> int:
     """Comparison rank of a simple root: j for e_j - e_{j-1}, 2 for e_2 + e_1."""
-    support = [i + 1 for i, c in enumerate(alpha) if c]
-    if len(support) != 2:
-        raise ValueError(f"not a type D simple root: {alpha}")
-    return max(support)
+    return _indices(alpha)[1]
 
 
 # --------------------------------------------- signed window arithmetic
@@ -198,24 +185,27 @@ def reflection_window(alpha: Root, n: int) -> SignedWindow:
     For e_j - e_i this swaps coordinates i and j; for e_j + e_i it swaps
     them and flips both signs.
     """
-    support = [(idx + 1, c) for idx, c in enumerate(alpha) if c]
-    if len(support) != 2 or not is_positive_root(alpha):
-        raise ValueError(f"not a positive type D root: {alpha}")
-    (i, ci), (j, _) = support
+    i, j, sign = _indices(alpha)
     out = list(range(1, n + 1))
-    if ci == -1:
-        out[i - 1], out[j - 1] = j, i
-    else:
-        out[i - 1], out[j - 1] = -j, -i
+    out[i - 1], out[j - 1] = -sign * j, -sign * i
     return tuple(out)
 
 
 # ------------------------------------------------------- the Weyl group
 
+def _length(w: SignedWindow) -> int:
+    """Coxeter length: #{i < j : w(i) > w(j)} + #{i < j : w(i) + w(j) < 0}.
+
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 8.2.1.
+    """
+    return sum((x > y) + (x + y < 0) for x, y in itertools.combinations(w, 2))
+
+
 class WeylGroupD:
     """The full type D Weyl group with Bruhat order bitsets.
 
-    Elements are listed sorted by (length, window); ids index that
+    The 2^(n-1) n! signed windows with evenly many sign flips are listed
+    sorted by (length, window), lengths by _length; ids index that
     listing.  Cover edges go through a reflection with length increasing
     by exactly one, which in a length-graded order pins the covers.
     Downset bitmasks are accumulated along cover edges in length order.
@@ -228,37 +218,25 @@ class WeylGroupD:
                 f"rank {rank} exceeds the group-size limit {RANK_LIMIT}"
             )
         self.rank = rank
-        gens = [reflection_window(a, rank) for a in simple_roots(rank)]
-        lengths_by_window: dict[SignedWindow, int] = {sp_identity(rank): 0}
-        frontier = [sp_identity(rank)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    y = sp_compose(w, g)
-                    if y not in lengths_by_window:
-                        lengths_by_window[y] = lengths_by_window[w] + 1
-                        nxt.append(y)
-            frontier = nxt
-        self.windows: tuple[SignedWindow, ...] = tuple(
-            sorted(lengths_by_window, key=lambda w: (lengths_by_window[w], w))
+        windows = (
+            tuple(s * v for s, v in zip(signs, perm))
+            for perm in itertools.permutations(range(1, rank + 1))
+            for signs in itertools.product((1, -1), repeat=rank)
+            if signs.count(-1) % 2 == 0
         )
+        ranked = sorted((_length(w), w) for w in windows)
+        self.lengths, self.windows = zip(*ranked)
         self.index: dict[SignedWindow, int] = {
             w: i for i, w in enumerate(self.windows)
         }
-        self.lengths: tuple[int, ...] = tuple(
-            lengths_by_window[w] for w in self.windows
-        )
         self.max_length = max(self.lengths)
 
         refls = [reflection_window(a, rank) for a in positive_roots(rank)]
         covers_down: list[list[int]] = [[] for _ in self.windows]
         for i, w in enumerate(self.windows):
-            lw = self.lengths[i]
             for t in refls:
-                y = sp_compose(w, t)
-                j = self.index[y]
-                if self.lengths[j] == lw + 1:
+                j = self.index[sp_compose(w, t)]
+                if self.lengths[j] == self.lengths[i] + 1:
                     covers_down[j].append(i)
         self.covers_down: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(c)) for c in covers_down

@@ -184,6 +184,15 @@ def test_c23_golden_for_321():
     ]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_c23_cycle_sits_under_its_reflection(n):
+    # c23 emits R/L(i, j, k) only under the range of T(i, j)
+    for w in all_windows(n):
+        members = c23(w).members
+        for kind, i, j, *_ in members:
+            assert ("T", i, j) in members, (w, kind, i, j)
+
+
 def test_element23_leq_spot_checks():
     assert element23_leq(("R", 1, 2, 3), parse("321"))
     assert not element23_leq(("T", 1, 4), parse("2431"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import doctest
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -109,10 +110,21 @@ def test_root_text_rejects_non_roots():
     for bad in [(1, 0, 0), (2, 1, 0), (-1, -1, 0)]:
         with pytest.raises(ValueError):
             root_text(bad)
-    with pytest.raises(ValueError):
-        parse_root("e1-e3", 3)
-    with pytest.raises(ValueError):
-        parse_root("e9+e1", 3)
+    for bad in ["e1-e3", "e9+e1", "e3-e1-e2", "eX-e1", "e3+-e1", "e3", "e3-1", ""]:
+        with pytest.raises(ValueError, match="bad root text"):
+            parse_root(bad, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_root_poset_covers_are_the_simple_differences(n):
+    simples = set(simple_roots(n))
+    expect = sorted(
+        (a, b)
+        for a in positive_roots(n)
+        for b in positive_roots(n)
+        if tuple(y - x for x, y in zip(a, b)) in simples
+    )
+    assert list(root_poset_covers(n)) == expect
 
 
 def test_root_poset_covers_rank3_golden():
@@ -251,9 +263,13 @@ def test_group_rank_limit_guard():
         weyl_group(6)
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_word_length_grading_matches_root_count(rank):
+    # the listing is every even-signed window, sorted by (length, window)
     group = weyl_group(rank)
+    assert len(group) == len(group.index) == 2 ** (rank - 1) * math.factorial(rank)
+    ranked = list(zip(group.lengths, group.windows))
+    assert ranked == sorted(ranked)
     for w in group.windows:
         assert group.length_of(w) == length_by_roots(w)
     assert group.max_length == rank * (rank - 1)
