@@ -176,13 +176,14 @@ def c_t(w: Window) -> frozenset[Transposition]:
     T(i, j) <= w iff j <= min(mu(w)[i], mu(w^{-1})[i]) (1-based), the
     bound bruhat.reflection_bounds gives, so each i contributes a range.
     """
-    return frozenset(_reflection_ranges(w))
+    return frozenset(_reflection_ranges(mu(w), mu(inverse(w))))
 
 
-def _reflection_ranges(w: Window) -> list[Transposition]:
-    # (i, j) for i < j <= reflection_bounds(w)[i], the T(i, j) below w
+def _reflection_ranges(m, mi) -> list[Transposition]:
+    # (i, j) for i < j <= reflection_bounds(w)[i], the T(i, j) below w,
+    # from m = mu(w) and mi = mu(w^{-1})
     return [
-        (i, j) for i, top in enumerate(bruhat.reflection_bounds(w), start=1)
+        (i, j) for i, top in enumerate(bruhat.bounds_from_maxima(m, mi), start=1)
         for j in range(i + 1, top + 1)
     ]
 
@@ -202,7 +203,7 @@ def c23(w: Window) -> AdmissibleSet:
     L(i, j, k) <= w iff R(i, j, k) <= w^{-1} (a, b swapped).
     """
     m, mi = mu(w), mu(inverse(w))
-    refls = _reflection_ranges(w)
+    refls = _reflection_ranges(m, mi)
     members = [("T", i, j) for i, j in refls]
     members += [("R", i, j, k) for i, j in refls for k in range(j + 1, min(m[j - 1], mi[i - 1]) + 1)]
     members += [("L", i, j, k) for i, j in refls for k in range(j + 1, min(mi[j - 1], m[i - 1]) + 1)]

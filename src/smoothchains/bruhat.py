@@ -77,7 +77,12 @@ def reflection_bounds(w: Window) -> tuple[int, ...]:
     >>> reflection_bounds((3, 1, 2))
     (2, 3, 3)
     """
-    return tuple(map(min, mu(w), mu(inverse(w))))
+    return bounds_from_maxima(mu(w), mu(inverse(w)))
+
+
+def bounds_from_maxima(m: Sequence[int], mi: Sequence[int]) -> tuple[int, ...]:
+    """reflection_bounds(w) from m = mu(w) and mi = mu(w^{-1})."""
+    return tuple(map(min, m, mi))
 
 
 def is_saturated_chain(chain: Sequence[Window]) -> bool:

@@ -36,7 +36,7 @@ from .admissible import (
 from .bruhat import chain_to_dot
 from .orders import (
     DEFAULT_MAX_REFLECTIONS,
-    _connected,
+    connected_by_moves,
     construct_compatible_order,
     construct_for_set,
     enumerate_compatible_orders,
@@ -207,22 +207,10 @@ def _cmd_order(args) -> int:
         print(f"order: {' '.join(r['order'])}")
         print(f"product: {r['product']}")
         print(f"product_ok: {r['product_ok']}")
-        print(
-            f"prefix_saturated: {r['prefix_saturated']}"
-            + (
-                f" (first break at step {r['prefix_first_break']})"
-                if not r["prefix_saturated"]
-                else ""
-            )
-        )
-        print(
-            f"suffix_saturated: {r['suffix_saturated']}"
-            + (
-                f" (first break at step {r['suffix_first_break']})"
-                if not r["suffix_saturated"]
-                else ""
-            )
-        )
+        for side in ("prefix", "suffix"):
+            ok = r[f"{side}_saturated"]
+            note = "" if ok else f" (first break at step {r[f'{side}_first_break']})"
+            print(f"{side}_saturated: {ok}{note}")
         print(f"prefix_chain: {' -> '.join(r['prefix_chain'])}")
         print(f"suffix_chain: {' -> '.join(r['suffix_chain'])}")
         if "orders" in p:
@@ -304,10 +292,10 @@ def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
 
 
 def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
-    vertices, edges = order_graph(c23(w), cap)
-    if _connected(len(vertices), edges):
-        return {"orders": len(vertices)}, []
-    return {"orders": len(vertices)}, [dict(window=format_window(w), kind="graph-disconnected")]
+    orders = enumerate_compatible_orders(c23(w), cap)
+    if connected_by_moves(orders):
+        return {"orders": len(orders)}, []
+    return {"orders": len(orders)}, [dict(window=format_window(w), kind="graph-disconnected")]
 
 
 def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
@@ -327,12 +315,6 @@ def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
 
 def _smooth_windows(n: int) -> list[Window]:
     return [w for w in all_windows(n) if is_smooth_pattern(w)]
-
-
-def _smooth_signed_windows(rank: int) -> list[Window]:
-    """Smooth elements of the rank-n type D group, by group id."""
-    group = type_d.weyl_group(rank)
-    return [w for w in group.windows if group.is_smooth(w)]
 
 
 class SweepMode(NamedTuple):
@@ -356,7 +338,7 @@ SWEEP_MODES = {
         "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _connectivity
     ),
     "conjecture-d": SweepMode(
-        "rank", type_d.CONJECTURE_MAX_REFLECTIONS, _smooth_signed_windows, _conjecture
+        "rank", type_d.CONJECTURE_MAX_REFLECTIONS, type_d.smooth_elements, _conjecture
     ),
 }
 

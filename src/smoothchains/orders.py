@@ -232,6 +232,7 @@ def order_graph(
     """Vertices (all compatible arrangements) and elementary-move edges.
 
     A move landing on a vertex is compatible, so no pair rule is re-run.
+    Only the DOT export needs the edges; connected_by_moves stores none.
     """
     vertices = enumerate_compatible_orders(A, max_reflections)
     index = {v: i for i, v in enumerate(vertices)}
@@ -261,26 +262,23 @@ def graph_connected(
     A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> bool:
     """Is the elementary-move graph on compatible arrangements connected?"""
-    vertices, edges = order_graph(A, max_reflections)
-    return _connected(len(vertices), edges)
+    return connected_by_moves(enumerate_compatible_orders(A, max_reflections))
 
 
-def _connected(count: int, edges: list[tuple[int, int]]) -> bool:
-    """Do the edges connect vertices 0..count-1?
+def connected_by_moves(orders) -> bool:
+    """Do elementary moves inside the given arrangements join them all?
 
-    Merges the edges in a union-find forest and counts roots.
+    One search removes each arrangement it reaches from the set of the
+    given ones, storing no edge; they are joined iff the set empties.
     """
-    root = list(range(count))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for i, j in edges:
-        root[find(i)] = find(j)
-    return len({find(v) for v in range(len(root))}) <= 1
+    unreached = set(orders)
+    stack = [unreached.pop()] if unreached else []
+    while stack:
+        for u in _moves(stack.pop()):
+            if u in unreached:
+                unreached.remove(u)
+                stack.append(u)
+    return not unreached
 
 
 @dataclass(frozen=True)
@@ -306,7 +304,7 @@ class SmoothnessReport:
             "pattern_positions": (
                 list(self.pattern_positions) if self.pattern_positions else None
             ),
-            "order": [f"T({i},{j})" for i, j in self.order] if self.order else None,
+            "order": None if self.order is None else [f"T({i},{j})" for i, j in self.order],
             "verification": self.verification.to_dict() if self.verification else None,
         }
 

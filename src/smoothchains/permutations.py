@@ -7,6 +7,9 @@ Composition follows (u * v)(x) = u(v(x)).  Under this convention,
 multiplying on the right by the transposition T(a, b) swaps the entries
 in positions a and b of the window, while multiplying on the left swaps
 the values a and b wherever they sit.
+
+compose, identity and length also serve the type D group, whose
+elements are signed windows: w(i) = -k means w sends e_i to -e_k.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def validate_window(window: Sequence[int]) -> Window:
 
 
 def identity(n: int) -> Window:
-    """The identity window of degree n."""
+    """The identity window of degree n, unsigned or signed."""
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
     return tuple(range(1, n + 1))
@@ -87,14 +90,20 @@ def format_window(w: Window) -> str:
 
 
 def compose(u: Window, v: Window) -> Window:
-    """Product u * v with (u * v)(x) = u(v(x)).
+    """Product u * v with (u * v)(x) = u(v(x)), signs multiplying through.
 
     >>> compose((2, 1, 3), (1, 3, 2))
     (2, 3, 1)
+    >>> compose((-2, -1, 3), (1, -3, 2))
+    (-2, -3, -1)
     """
     if len(u) != len(v):
         raise ValueError("degree mismatch in composition")
-    return tuple(u[v[x] - 1] for x in range(len(u)))
+    out = []
+    for val in v:
+        img = u[abs(val) - 1]
+        out.append(img if val > 0 else -img)
+    return tuple(out)
 
 
 def inverse(w: Window) -> Window:
@@ -141,18 +150,18 @@ def all_transpositions(n: int) -> list[Transposition]:
 
 
 def length(w: Window) -> int:
-    """Coxeter length: the number of inversions of the window.
+    """Coxeter length: #{i < j : w(i) > w(j)} + #{i < j : w(i) + w(j) < 0}.
+
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 8.2.1 for
+    type D; the second count is 0 on an unsigned window, which leaves
+    the inversions.
 
     >>> length((3, 5, 1, 4, 2))
     6
+    >>> length((-2, -1, 3))
+    1
     """
-    n = len(w)
-    return sum(
-        1
-        for a in range(n)
-        for b in range(a + 1, n)
-        if w[a] > w[b]
-    )
+    return sum((x > y) + (x + y < 0) for x, y in itertools.combinations(w, 2))
 
 
 def mu(w: Window) -> tuple[int, ...]:

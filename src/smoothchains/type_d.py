@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .ordering_engine import capped_orders, fold_orders
+from .permutations import compose, identity, length
 
 Root = tuple[int, ...]
 SignedWindow = tuple[int, ...]
@@ -137,11 +138,7 @@ def simple_rank(alpha: Root) -> int:
     return _indices(alpha)[1]
 
 
-# --------------------------------------------- signed window arithmetic
-
-def sp_identity(n: int) -> SignedWindow:
-    return tuple(range(1, n + 1))
-
+# -------------------------------------------------------- signed windows
 
 def validate_signed_window(w) -> SignedWindow:
     """Check the window is a signed permutation with evenly many sign flips."""
@@ -167,18 +164,6 @@ def sp_text(w: SignedWindow) -> str:
     return ",".join(str(v) for v in w)
 
 
-def sp_compose(u: SignedWindow, v: SignedWindow) -> SignedWindow:
-    """(u * v)(x) = u(v(x)), signs multiplying through."""
-    if len(u) != len(v):
-        raise ValueError("degree mismatch in composition")
-    out = []
-    for x in range(len(u)):
-        val = v[x]
-        img = u[abs(val) - 1]
-        out.append(img if val > 0 else -img)
-    return tuple(out)
-
-
 def reflection_window(alpha: Root, n: int) -> SignedWindow:
     """t_alpha as a signed window.
 
@@ -193,22 +178,16 @@ def reflection_window(alpha: Root, n: int) -> SignedWindow:
 
 # ------------------------------------------------------- the Weyl group
 
-def _length(w: SignedWindow) -> int:
-    """Coxeter length: #{i < j : w(i) > w(j)} + #{i < j : w(i) + w(j) < 0}.
-
-    Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 8.2.1.
-    """
-    return sum((x > y) + (x + y < 0) for x, y in itertools.combinations(w, 2))
-
-
 class WeylGroupD:
     """The full type D Weyl group with Bruhat order bitsets.
 
     The 2^(n-1) n! signed windows with evenly many sign flips are listed
-    sorted by (length, window), lengths by _length; ids index that
-    listing.  Cover edges go through a reflection with length increasing
-    by exactly one, which in a length-graded order pins the covers.
-    Downset bitmasks are accumulated along cover edges in length order.
+    sorted by (length, window), lengths by permutations.length; ids
+    index that listing.  Bruhat order is generated by the steps
+    w * t < w with w * t shorter, over reflections t.  w * t never has
+    w's length, so with ids in length order, w * t is shorter iff its
+    id is smaller: the downset bitmask of w is its own bit OR those of
+    its reflection neighbours with smaller ids, in one pass over ids.
     """
 
     def __init__(self, rank: int):
@@ -224,29 +203,20 @@ class WeylGroupD:
             for signs in itertools.product((1, -1), repeat=rank)
             if signs.count(-1) % 2 == 0
         )
-        ranked = sorted((_length(w), w) for w in windows)
+        ranked = sorted((length(w), w) for w in windows)
         self.lengths, self.windows = zip(*ranked)
-        self.index: dict[SignedWindow, int] = {
-            w: i for i, w in enumerate(self.windows)
-        }
+        self.index: dict[SignedWindow, int] = {w: i for i, w in enumerate(self.windows)}
         self.max_length = max(self.lengths)
 
-        refls = [reflection_window(a, rank) for a in positive_roots(rank)]
-        covers_down: list[list[int]] = [[] for _ in self.windows]
-        for i, w in enumerate(self.windows):
-            for t in refls:
-                j = self.index[sp_compose(w, t)]
-                if self.lengths[j] == self.lengths[i] + 1:
-                    covers_down[j].append(i)
-        self.covers_down: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(c)) for c in covers_down
-        )
-        below = [0] * len(self.windows)
-        for j in range(len(self.windows)):  # ids ascend with length
+        self._reflections = [reflection_window(a, rank) for a in positive_roots(rank)]
+        below = []
+        for j, w in enumerate(self.windows):
             mask = 1 << j
-            for i in self.covers_down[j]:
-                mask |= below[i]
-            below[j] = mask
+            for t in self._reflections:
+                i = self.index[compose(w, t)]
+                if i < j:
+                    mask |= below[i]
+            below.append(mask)
         self.below: tuple[int, ...] = tuple(below)
         self._level_masks: tuple[int, ...] = tuple(
             sum(1 << i for i in range(len(self.windows)) if self.lengths[i] == d)
@@ -272,10 +242,12 @@ class WeylGroupD:
         return bool(self.below[self.index[y]] >> self.index[x] & 1)
 
     def cover_pairs(self) -> list[tuple[SignedWindow, SignedWindow]]:
+        """The Bruhat covers (w * t, w) with w * t one shorter than w."""
         return [
-            (self.windows[i], self.windows[j])
-            for j, preds in enumerate(self.covers_down)
-            for i in preds
+            (x, w)
+            for w, lw in zip(self.windows, self.lengths)
+            for t in self._reflections
+            if self.length_of(x := compose(w, t)) == lw - 1
         ]
 
     def interval_rank_counts(self, w: SignedWindow) -> tuple[int, ...]:
@@ -295,6 +267,12 @@ class WeylGroupD:
 @lru_cache(maxsize=None)
 def weyl_group(rank: int) -> WeylGroupD:
     return WeylGroupD(rank)
+
+
+def smooth_elements(rank: int) -> list[SignedWindow]:
+    """The smooth elements of the rank-n group, by group id."""
+    group = weyl_group(rank)
+    return [w for w in group.windows if group.is_smooth(w)]
 
 
 # ------------------------------------------- ground set and admissibility
@@ -331,9 +309,7 @@ def realize_label(label: Label, n: int) -> SignedWindow:
     if kind == "t":
         return reflection_window(label[1], n)
     if kind == "tt":
-        return sp_compose(
-            reflection_window(label[1], n), reflection_window(label[2], n)
-        )
+        return compose(reflection_window(label[1], n), reflection_window(label[2], n))
     raise ValueError(f"bad label: {label!r}")
 
 
@@ -425,9 +401,9 @@ def enumerate_compatible_orders_d(
 
 
 def product_of_root_order(order: tuple[Root, ...], n: int) -> SignedWindow:
-    out = sp_identity(n)
+    out = identity(n)
     for alpha in order:
-        out = sp_compose(out, reflection_window(alpha, n))
+        out = compose(out, reflection_window(alpha, n))
     return out
 
 
@@ -517,8 +493,8 @@ def check_element(
         roots,
         summable_pairs(A, n),
         max_reflections,
-        lambda x, alpha: sp_compose(x, t[alpha]),
-        sp_identity(n),
+        lambda x, alpha: compose(x, t[alpha]),
+        identity(n),
     )
     return ConjectureElementReport(
         window=w,
@@ -537,7 +513,7 @@ def verify_conjecture_d(
 ) -> ConjectureReport:
     """Check the conjecture on every smooth element of the rank-n group."""
     group = weyl_group(rank)
-    smooth = [w for w in group.windows if group.is_smooth(w)]
+    smooth = smooth_elements(rank)
     elements = [check_element(group, w, max_reflections) for w in smooth]
     counterexamples = tuple(e.window for e in elements if not e.ok)
     return ConjectureReport(

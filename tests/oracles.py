@@ -318,7 +318,8 @@ def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
     multiplication that decreases the roots-sent-negative count.
     Independent of the group's graded cover construction.
     """
-    from smoothchains.type_d import positive_roots, reflection_window, sp_compose
+    from smoothchains.permutations import compose
+    from smoothchains.type_d import positive_roots, reflection_window
 
     n = group.rank
     refl = [reflection_window(a, n) for a in positive_roots(n)]
@@ -328,7 +329,7 @@ def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
         acc = {w}
         lw = length_by_roots(w)
         for t in refl:
-            x = sp_compose(w, t)
+            x = compose(w, t)
             if length_by_roots(x) < lw:
                 acc |= down[x]
         down[w] = frozenset(acc)
@@ -361,7 +362,8 @@ def d_reduced_word_counts(group) -> dict[tuple[int, ...], int]:
     the simple reflections s with l(ws) = l(w) - 1, lengths counted as
     roots sent negative.  No reflection orders involved.
     """
-    from smoothchains.type_d import reflection_window, simple_roots, sp_compose
+    from smoothchains.permutations import compose
+    from smoothchains.type_d import reflection_window, simple_roots
 
     n = group.rank
     simples = [reflection_window(a, n) for a in simple_roots(n)]
@@ -371,7 +373,7 @@ def d_reduced_word_counts(group) -> dict[tuple[int, ...], int]:
         if lengths[w] == 0:
             counts[w] = 1
             continue
-        below = [sp_compose(w, s) for s in simples]
+        below = [compose(w, s) for s in simples]
         counts[w] = sum(counts[x] for x in below if lengths[x] == lengths[w] - 1)
     return counts
 

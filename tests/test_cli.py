@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -51,6 +52,25 @@ def test_smooth_json_schema(capsys):
     assert payload["smooth"] is False
     assert payload["pattern_name"] == "4231"
     assert payload["order"] is None
+
+
+@pytest.mark.parametrize("perm", ["1", "12", "123"])
+def test_smooth_identity_window_has_an_empty_order(capsys, perm):
+    code, out, _ = run_cli(capsys, "smooth", perm)
+    assert code == 0
+    assert "smooth: yes" in out
+    assert "order:" in [line.rstrip() for line in out.splitlines()]
+    for flag in ("product_ok", "prefix_saturated", "suffix_saturated"):
+        assert f"{flag}: True" in out
+    code, payload = run_json(capsys, "smooth", perm)
+    assert code == 0
+    assert payload["smooth"] is True
+    assert payload["order"] == []
+    verification = payload["verification"]
+    assert verification["order"] == []
+    assert verification["prefix_chain"] == [perm]
+    for flag in ("product_ok", "prefix_saturated", "suffix_saturated"):
+        assert verification[flag] is True
 
 
 def test_smooth_rejects_bad_window(capsys):
@@ -252,6 +272,123 @@ def test_sweep_conjecture_d_rank5_under_a_raised_cap(capsys):
     assert code == 0
     assert payload["counters"] == {"checked": 490, "orders": 13210910}
     assert payload["ok"] is True
+
+
+# Each violation kind, produced by patching the name its check reads in
+# cli so that the check fails on one element of S3 (or every smooth
+# element of D3).
+
+def _one_violation(capsys, argv):
+    """The text and JSON runs of a sweep that finds violations."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == "result: violations found"
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["ok"] is False
+    return out, payload["violations"]
+
+
+def _patch_length_at_321(monkeypatch):
+    real = cli.length
+    monkeypatch.setattr(cli, "length", lambda w: real(w) + (w == (3, 2, 1)))
+
+
+def test_sweep_reports_criteria_disagree(capsys, monkeypatch):
+    _patch_length_at_321(monkeypatch)
+    out, found = _one_violation(capsys, ["sweep", "--mode", "smooth-crosscheck", "--n", "3"])
+    assert found == [
+        {"window": "321", "kind": "criteria-disagree", "by_pattern": True, "by_length": False}
+    ]
+    assert "VIOLATION 321: criteria-disagree by_length=False, by_pattern=True\n" in out
+
+
+def test_sweep_reports_no_reflection_excess(capsys, monkeypatch):
+    _patch_length_at_321(monkeypatch)
+    monkeypatch.setattr(cli, "is_smooth_pattern", lambda w: w != (3, 2, 1))
+    out, found = _one_violation(capsys, ["sweep", "--mode", "smooth-crosscheck", "--n", "3"])
+    assert found == [
+        {"window": "321", "kind": "no-reflection-excess", "reflections_below": 3, "length": 4}
+    ]
+    assert "VIOLATION 321: no-reflection-excess length=4, reflections_below=3\n" in out
+
+
+def test_sweep_reports_construction_fails(capsys, monkeypatch):
+    real = cli.construct_for_set
+    monkeypatch.setattr(cli, "construct_for_set", lambda A: real(A)[::-1])
+    out, found = _one_violation(capsys, ["sweep", "--mode", "theorem-verify", "--n", "3"])
+    fields = {"product_ok": False, "prefix_saturated": True, "suffix_saturated": True}
+    assert found == [
+        {"window": "231", "kind": "construction-fails", **fields},
+        {"window": "312", "kind": "construction-fails", **fields},
+    ]
+    assert (
+        "VIOLATION 231: construction-fails "
+        "prefix_saturated=True, product_ok=False, suffix_saturated=True\n"
+    ) in out
+
+
+def test_sweep_reports_no_compatible_order(capsys, monkeypatch):
+    real = cli.enumerate_compatible_orders
+    monkeypatch.setattr(
+        cli, "enumerate_compatible_orders",
+        lambda A, cap: real(A, cap) if len(A.reflections) < 3 else [],
+    )
+    out, found = _one_violation(capsys, ["sweep", "--mode", "enumerate-orders", "--n", "3"])
+    assert found == [{"window": "321", "kind": "no-compatible-order"}]
+    assert "VIOLATION 321: no-compatible-order\n" in out
+
+
+def test_sweep_reports_order_fails_verification(capsys, monkeypatch):
+    real = cli.enumerate_compatible_orders
+    monkeypatch.setattr(
+        cli, "enumerate_compatible_orders",
+        lambda A, cap: [order[::-1] for order in real(A, cap)],
+    )
+    out, found = _one_violation(capsys, ["sweep", "--mode", "enumerate-orders", "--n", "3"])
+    fields = {"product_ok": False, "prefix_saturated": True, "suffix_saturated": True}
+    assert found == [
+        {"window": "231", "kind": "order-fails-verification", "order": "T(2,3) T(1,2)", **fields},
+        {"window": "312", "kind": "order-fails-verification", "order": "T(1,2) T(2,3)", **fields},
+    ]
+    assert (
+        "VIOLATION 231: order-fails-verification order=T(2,3) T(1,2), "
+        "prefix_saturated=True, product_ok=False, suffix_saturated=True\n"
+    ) in out
+
+
+def test_sweep_reports_graph_disconnected(capsys, monkeypatch):
+    # 321 is the one window of S3 with two arrangements
+    monkeypatch.setattr(cli, "connected_by_moves", lambda orders: len(orders) < 2)
+    out, found = _one_violation(capsys, ["sweep", "--mode", "graph-connectivity", "--n", "3"])
+    assert found == [{"window": "321", "kind": "graph-disconnected"}]
+    assert "VIOLATION 321: graph-disconnected\n" in out
+
+
+def test_sweep_reports_conjecture_fails(capsys, monkeypatch):
+    real = cli.type_d.check_element
+    w0 = (1, -2, -3)
+
+    def check(group, w, cap):
+        report = real(group, w, cap)
+        return dataclasses.replace(report, products_ok=False) if w == w0 else report
+
+    monkeypatch.setattr(cli.type_d, "check_element", check)
+    out, found = _one_violation(capsys, ["sweep", "--mode", "conjecture-d", "--rank", "3"])
+    assert found == [
+        {
+            "window": "1,-2,-3",
+            "kind": "conjecture-fails",
+            "admissible": True,
+            "admissibility_note": None,
+            "orders_found": 16,
+            "products_ok": False,
+        }
+    ]
+    assert (
+        "VIOLATION 1,-2,-3: conjecture-fails admissibility_note=None, "
+        "admissible=True, orders_found=16, products_ok=False\n"
+    ) in out
 
 
 def test_sweep_sampling_is_seeded(capsys):

@@ -26,6 +26,7 @@ from smoothchains.admissible import (
 from smoothchains.orders import (
     NotSmoothError,
     _moves,
+    connected_by_moves,
     construct_compatible_order,
     construct_for_set,
     elementary_neighbors,
@@ -430,6 +431,47 @@ def test_order_graph_edges_match_neighbors():
                     expect.add((a, b))
         assert set(edges) == expect, w
         assert len(vertices) == len(set(vertices))
+
+
+def _joined_by_edges(edges, keep) -> bool:
+    # one component among the kept vertices, by search over the kept edges
+    adjacent = {i: [] for i in keep}
+    for i, j in edges:
+        if i in adjacent and j in adjacent:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+    seen = set(list(keep)[:1])
+    stack = list(seen)
+    while stack:
+        for j in adjacent[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(keep)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_connected_by_moves_matches_order_graph_components(n):
+    # the whole listing, and a seeded half of it, whose move graph may
+    # fall apart
+    rng = random.Random(n)
+    for w in smooth_windows(n):
+        vertices, edges = order_graph(c23(w))
+        half = {i for i in range(len(vertices)) if rng.random() < 0.5}
+        for keep in (set(range(len(vertices))), half):
+            expect = _joined_by_edges(edges, keep)
+            assert connected_by_moves(vertices[i] for i in keep) == expect, (w, keep)
+
+
+def test_connected_by_moves_without_a_joining_move():
+    # neither arrangement has a move: no disjoint neighbours, and the
+    # middle reflection is not the long one
+    first = ((1, 2), (2, 3), (1, 3))
+    second = ((1, 3), (1, 2), (2, 3))
+    assert list(_moves(first)) == list(_moves(second)) == []
+    assert connected_by_moves([first, second]) is False
+    assert connected_by_moves([first]) is True
+    assert connected_by_moves([]) is True
 
 
 def test_order_graph_dot_is_syntactically_plausible():

@@ -26,7 +26,7 @@ from oracles import (
 from smoothchains.admissible import c23, is_smooth_pattern
 from smoothchains.ordering_engine import is_compatible_order
 from smoothchains.orders import enumerate_compatible_orders
-from smoothchains.permutations import all_windows
+from smoothchains.permutations import all_windows, compose, identity
 from smoothchains.type_d import (
     admissibility_violation_d,
     c23_below,
@@ -47,8 +47,7 @@ from smoothchains.type_d import (
     simple_order_config,
     simple_rank,
     simple_roots,
-    sp_compose,
-    sp_identity,
+    smooth_elements,
     sp_parse,
     sp_text,
     summable_pairs,
@@ -208,10 +207,10 @@ def test_sp_text_round_trip():
 @given(signed_windows(4), signed_windows(4), signed_windows(4))
 @settings(max_examples=100)
 def test_sp_group_laws(u, v, w):
-    assert sp_compose(sp_compose(u, v), w) == sp_compose(u, sp_compose(v, w))
-    e = sp_identity(4)
-    assert sp_compose(u, sp_inverse(u)) == e
-    assert sp_compose(sp_inverse(u), u) == e
+    assert compose(compose(u, v), w) == compose(u, compose(v, w))
+    e = identity(4)
+    assert compose(u, sp_inverse(u)) == e
+    assert compose(sp_inverse(u), u) == e
 
 
 @given(signed_windows(4))
@@ -225,10 +224,10 @@ def test_action_on_roots_is_a_homomorphism(w):
 
 def test_reflections_are_involutions_matching_the_formula():
     for n in (3, 4):
-        e = sp_identity(n)
+        e = identity(n)
         for alpha in positive_roots(n):
             t = reflection_window(alpha, n)
-            assert sp_compose(t, t) == e
+            assert compose(t, t) == e
             # action agrees with the euclidean reflection formula
             for beta in positive_roots(n):
                 assert act_on_root(t, beta) == root_reflection_image(
@@ -244,7 +243,7 @@ def test_reflection_window_goldens():
 
 
 def test_length_by_roots_goldens():
-    assert length_by_roots(sp_identity(4)) == 0
+    assert length_by_roots(identity(4)) == 0
     assert length_by_roots((-2, -1, 3, 4)) == 1
     assert length_by_roots((-1, -2, -3, -4)) == 12
 
@@ -281,7 +280,7 @@ def test_length_symmetries_on_d4():
     for w in group.windows:
         assert group.length_of(w) == group.length_of(sp_inverse(w))
         for t in refls:
-            assert group.length_of(sp_compose(w, t)) != group.length_of(w)
+            assert group.length_of(compose(w, t)) != group.length_of(w)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -314,6 +313,16 @@ def test_smooth_counts():
     assert sum(weyl_group(2).is_smooth(w) for w in weyl_group(2).windows) == 4
     assert sum(weyl_group(3).is_smooth(w) for w in weyl_group(3).windows) == 22
     assert sum(weyl_group(4).is_smooth(w) for w in weyl_group(4).windows) == 108
+
+
+def test_smooth_elements_list_the_smooth_ones_by_id():
+    for rank, count in ((2, 4), (3, 22), (4, 108)):
+        group = weyl_group(rank)
+        smooth = smooth_elements(rank)
+        assert len(smooth) == count
+        assert all(group.is_smooth(w) for w in smooth)
+        ids = [group.index[w] for w in smooth]
+        assert ids == sorted(ids)
 
 
 def test_longest_element_d4_is_smooth():
@@ -387,7 +396,7 @@ def test_label_text_goldens():
 
 def test_c23_below_extremes():
     group = weyl_group(3)
-    assert c23_below(group, sp_identity(3)) == frozenset()
+    assert c23_below(group, identity(3)) == frozenset()
     t = ("t", parse_root("e2-e1", 3))
     assert c23_below(group, realize_label(t, 3)) == {t}
     w0 = (-1, -2, -3)  # odd flips: not an element
