@@ -47,6 +47,7 @@ from .orders import (
     is_compatible,
     order_graph,
     order_graph_dot,
+    order_verdicts,
     smoothness_report,
     verify_order,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "mu",
     "order_graph",
     "order_graph_dot",
+    "order_verdicts",
     "parse",
     "parse_element",
     "pattern_witness",

@@ -44,6 +44,7 @@ from .orders import (
     order_graph,
     order_graph_dot,
     order_text,
+    order_verdicts,
     smoothness_report,
     verify_order,
 )
@@ -109,7 +110,7 @@ def _cmd_smooth(args) -> int:
         print(f"length: {p['length']}")
         print(f"reflections_below: {p['reflections_below']}")
         if p["smooth"]:
-            print(f"order: {' '.join(p['order'])}")
+            print(" ".join(["order:", *p["order"]]))
             v = p["verification"]
             print(f"product_ok: {v['product_ok']}")
             print(f"prefix_saturated: {v['prefix_saturated']}")
@@ -204,7 +205,7 @@ def _cmd_order(args) -> int:
     def render(p):
         r = p["report"]
         print(f"window: {p['window']}")
-        print(f"order: {' '.join(r['order'])}")
+        print(" ".join(["order:", *r["order"]]))
         print(f"product: {r['product']}")
         print(f"product_ok: {r['product_ok']}")
         for side in ("prefix", "suffix"):
@@ -236,15 +237,6 @@ def _cmd_order(args) -> int:
 # An element check takes (element, cap) and returns the element's
 # counters and violations.
 
-def _chain_fields(report) -> dict:
-    """The verify_order verdicts that a failing arrangement reports."""
-    return dict(
-        product_ok=report.product_ok,
-        prefix_saturated=report.prefix_saturated,
-        suffix_saturated=report.suffix_saturated,
-    )
-
-
 def _crosscheck(w: Window, cap: int) -> tuple[dict, list[dict]]:
     text = format_window(w)
     by_pattern = is_smooth_pattern(w)
@@ -269,26 +261,25 @@ def _theorem(w: Window, cap: int) -> tuple[dict, list[dict]]:
     report = verify_order(w, order)
     if report.all_ok and is_compatible(order, A):
         return {"verified": 1}, []
-    failed = dict(window=format_window(w), kind="construction-fails", **_chain_fields(report))
+    failed = dict(window=format_window(w), kind="construction-fails", **report.verdict._asdict())
     return {"verified": 0}, [failed]
 
 
 def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
     text = format_window(w)
-    orders = enumerate_compatible_orders(c23(w), cap)
-    violations = [] if orders else [dict(window=text, kind="no-compatible-order")]
-    for order in orders:
-        report = verify_order(w, order)
-        if not report.all_ok:
+    verdicts = order_verdicts(w, cap)
+    violations = [] if verdicts else [dict(window=text, kind="no-compatible-order")]
+    for verdict, count in sorted(verdicts.items()):
+        if not all(verdict):
             violations.append(
                 dict(
                     window=text,
                     kind="order-fails-verification",
-                    order=order_text(order),
-                    **_chain_fields(report),
+                    orders=count,
+                    **verdict._asdict(),
                 )
             )
-    return {"orders": len(orders)}, violations
+    return {"orders": sum(verdicts.values())}, violations
 
 
 def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
@@ -378,6 +369,9 @@ def _cmd_sweep(args) -> int:
     }
 
     option = SIZE_OPTIONS[mode.noun]
+    for other in SIZE_OPTIONS.values():
+        if other != option and getattr(args, other) is not None:
+            raise CliError(f"--{other} does not apply to mode {args.mode}; it takes --{option}")
     n = getattr(args, option)
     if n is None:
         raise CliError(f"--{option} is required for mode {args.mode}")
@@ -538,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "enumeration cap (default 10 for type A modes, 12 for "
-            "conjecture-d, where it bounds the placed-set walk)"
+            "conjecture-d); it bounds the placed-set walk of "
+            "enumerate-orders and conjecture-d"
         ),
     )
     p_sweep.add_argument("--allow-large", action="store_true")

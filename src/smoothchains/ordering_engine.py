@@ -38,8 +38,9 @@ once per set rather than once per path through it.  ``fold_orders``,
 under the same cap, walks those sets instead of the paths and returns
 each product of a compatible arrangement with its number of
 arrangements (linear-extension counting over the lattice of ideals, De
-Loof, De Meyer and De Baets 2006).  The type D conjecture check uses it; the
-type A callers and enumerate_compatible_orders_d still list.
+Loof, De Meyer and De Baets 2006).  The type D conjecture check and the
+type A order verdicts (orders.order_verdicts) use it; order listing,
+move-graph connectivity and enumerate_compatible_orders_d still list.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def fold_orders(
     Folds step over every arrangement from start without listing them:
     each set of placed items (a bitmask) keeps every prefix product
     reaching it with its number of prefixes, one layer of sets at a
-    time.  Returns {} when no arrangement is compatible.  The cap is
-    that of capped_orders.
+    time.  A product is any hashable state, such as a window or a
+    window with the verdicts of the steps so far.  Returns {} when no
+    arrangement is compatible.  The cap is that of capped_orders.
     """
     ordered, placeable = _placement_rule(_capped(items, max_items), pairs)
     k = len(ordered)

@@ -18,7 +18,9 @@ w back, and both the prefix products and the reversed-word prefix
 products walk saturated chains in Bruhat order.  This module constructs
 such an arrangement wedge by wedge, verifies arbitrary arrangements,
 enumerates all compatible arrangements, and explores the elementary-move
-graph on them.
+graph on them.  order_verdicts checks every compatible arrangement
+without listing any, by folding both chains over the sets of placed
+reflections.
 
 Every chain step is a right product x -> x * T(i, j) with i < j, which
 swaps positions i and j of the window.  The step-cover rule: x is
@@ -30,7 +32,9 @@ step is decided from positions i..j of x, without comparing windows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bruhat
 from .admissible import (
@@ -42,12 +46,15 @@ from .admissible import (
     reflection_pairs,
     smoothness_witness,
 )
-from .ordering_engine import capped_orders, is_compatible_order
+from .ordering_engine import capped_orders, fold_orders, is_compatible_order
 from .permutations import (
     Transposition,
     Window,
     format_window,
+    identity,
+    inverse,
     length,
+    times_transposition,
 )
 
 ReflectionOrder = tuple[Transposition, ...]
@@ -112,6 +119,14 @@ def construct_compatible_order(w: Window) -> ReflectionOrder:
     return construct_for_set(c23(w))
 
 
+class Verdict(NamedTuple):
+    """The three checks of one arrangement against one window."""
+
+    product_ok: bool
+    prefix_saturated: bool
+    suffix_saturated: bool
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Product and chain checks for one arrangement against one window."""
@@ -128,8 +143,12 @@ class VerificationReport:
     suffix_first_break: int | None
 
     @property
+    def verdict(self) -> Verdict:
+        return Verdict(self.product_ok, self.prefix_saturated, self.suffix_saturated)
+
+    @property
     def all_ok(self) -> bool:
-        return self.product_ok and self.prefix_saturated and self.suffix_saturated
+        return all(self.verdict)
 
     def to_dict(self) -> dict:
         return {
@@ -181,6 +200,36 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
         prefix_first_break=prefix_break,
         suffix_first_break=suffix_break,
     )
+
+
+def order_verdicts(
+    w: Window, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
+) -> Counter[Verdict]:
+    """How many compatible arrangements of c23(w) get each Verdict.
+
+    No arrangement is listed: fold_orders carries (x, z, prefix_ok,
+    suffix_ok) from (e, w^{-1}, True, True), with x the prefix product
+    and z = w^{-1} x.  A step by T(i, j) checks x * T(i, j) covers x,
+    swaps positions i and j of both x and z, then checks z * T(i, j)
+    covers the new z: that is the suffix chain's step, read from its
+    far end.  So the verdicts are verify_order's whenever the product
+    is w; when it is not, suffix_saturated is read along w^{-1} x.
+    Refused over max_reflections as enumerate_compatible_orders is.
+    """
+
+    def step(state, t):
+        x, z, prefix_ok, suffix_ok = state
+        prefix_ok = prefix_ok and bruhat.swap_covers(x, *t)
+        x, z = times_transposition(x, t), times_transposition(z, t)
+        return x, z, prefix_ok, suffix_ok and bruhat.swap_covers(z, *t)
+
+    A = c23(w)
+    start = (identity(len(w)), inverse(w), True, True)
+    folded = fold_orders(A.reflections, reflection_pairs(A), max_reflections, step, start)
+    verdicts: Counter[Verdict] = Counter()
+    for (x, _, prefix_ok, suffix_ok), count in folded.items():
+        verdicts[Verdict(x == w, prefix_ok, suffix_ok)] += count
+    return verdicts
 
 
 def _chain(n: int, steps) -> tuple[tuple[Window, ...], int | None]:

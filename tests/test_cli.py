@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothchains import cli
+from smoothchains import cli, orders
 from smoothchains.cli import main
 
 CLI = [sys.executable, "-m", "smoothchains.cli"]
@@ -71,6 +71,19 @@ def test_smooth_identity_window_has_an_empty_order(capsys, perm):
     assert verification["prefix_chain"] == [perm]
     for flag in ("product_ok", "prefix_saturated", "suffix_saturated"):
         assert verification[flag] is True
+
+
+@pytest.mark.parametrize(
+    "argv, json_order",
+    [(["smooth", "1"], lambda p: p["order"]), (["order", "12"], lambda p: p["report"]["order"])],
+)
+def test_an_empty_arrangement_prints_a_bare_order_line(capsys, argv, json_order):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("order")] == ["order:"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert json_order(payload) == []
 
 
 def test_smooth_rejects_bad_window(capsys):
@@ -329,10 +342,10 @@ def test_sweep_reports_construction_fails(capsys, monkeypatch):
 
 
 def test_sweep_reports_no_compatible_order(capsys, monkeypatch):
-    real = cli.enumerate_compatible_orders
+    real = orders.fold_orders
     monkeypatch.setattr(
-        cli, "enumerate_compatible_orders",
-        lambda A, cap: real(A, cap) if len(A.reflections) < 3 else [],
+        orders, "fold_orders",
+        lambda items, *rest: real(items, *rest) if len(items) < 3 else {},
     )
     out, found = _one_violation(capsys, ["sweep", "--mode", "enumerate-orders", "--n", "3"])
     assert found == [{"window": "321", "kind": "no-compatible-order"}]
@@ -340,21 +353,59 @@ def test_sweep_reports_no_compatible_order(capsys, monkeypatch):
 
 
 def test_sweep_reports_order_fails_verification(capsys, monkeypatch):
-    real = cli.enumerate_compatible_orders
+    # flipping which product is a member turns the one arrangement of
+    # 231 (and of 312) around: it multiplies to the other window, and
+    # its suffix chain, read along w^{-1} x, breaks at the first step
+    real = orders.reflection_pairs
     monkeypatch.setattr(
-        cli, "enumerate_compatible_orders",
-        lambda A, cap: [order[::-1] for order in real(A, cap)],
+        orders, "reflection_pairs",
+        lambda A: [(a, b, mid, ba, ab) for a, b, mid, ab, ba in real(A)],
     )
     out, found = _one_violation(capsys, ["sweep", "--mode", "enumerate-orders", "--n", "3"])
-    fields = {"product_ok": False, "prefix_saturated": True, "suffix_saturated": True}
+    fields = {"product_ok": False, "prefix_saturated": True, "suffix_saturated": False}
     assert found == [
-        {"window": "231", "kind": "order-fails-verification", "order": "T(2,3) T(1,2)", **fields},
-        {"window": "312", "kind": "order-fails-verification", "order": "T(1,2) T(2,3)", **fields},
+        {"window": "231", "kind": "order-fails-verification", "orders": 1, **fields},
+        {"window": "312", "kind": "order-fails-verification", "orders": 1, **fields},
     ]
     assert (
-        "VIOLATION 231: order-fails-verification order=T(2,3) T(1,2), "
-        "prefix_saturated=True, product_ok=False, suffix_saturated=True\n"
+        "VIOLATION 231: order-fails-verification orders=1, "
+        "prefix_saturated=True, product_ok=False, suffix_saturated=False\n"
     ) in out
+
+
+def test_order_fails_verification_gives_one_entry_per_verdict(capsys, monkeypatch):
+    # 213 -> 213 * T(1,3) is a step of the prefix chain of T(1,2) T(1,3) T(2,3)
+    # and of the suffix chain of T(2,3) T(1,3) T(1,2), the two arrangements of 321
+    real = orders.bruhat.swap_covers
+    monkeypatch.setattr(
+        orders.bruhat, "swap_covers",
+        lambda x, i, j: real(x, i, j) and (tuple(x), i, j) != ((2, 1, 3), 1, 3),
+    )
+    out, found = _one_violation(capsys, ["sweep", "--mode", "enumerate-orders", "--n", "3"])
+    entry = {"window": "321", "kind": "order-fails-verification", "orders": 1, "product_ok": True}
+    assert found == [
+        {**entry, "prefix_saturated": False, "suffix_saturated": True},
+        {**entry, "prefix_saturated": True, "suffix_saturated": False},
+    ]
+    assert (
+        "VIOLATION 321: order-fails-verification orders=1, "
+        "prefix_saturated=False, product_ok=True, suffix_saturated=True\n"
+        "VIOLATION 321: order-fails-verification orders=1, "
+        "prefix_saturated=True, product_ok=True, suffix_saturated=False\n"
+    ) in out
+
+
+def test_enumerate_orders_sweep_lists_no_arrangement(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep listed or verified an arrangement")
+
+    for module in (cli, orders):
+        monkeypatch.setattr(module, "enumerate_compatible_orders", refuse)
+        monkeypatch.setattr(module, "verify_order", refuse)
+    monkeypatch.setattr(orders, "capped_orders", refuse)
+    code, payload = run_json(capsys, "sweep", "--mode", "enumerate-orders", "--n", "5")
+    assert code == 0
+    assert payload["counters"] == {"checked": 88, "orders": 1517}
 
 
 def test_sweep_reports_graph_disconnected(capsys, monkeypatch):
@@ -446,6 +497,10 @@ def test_sweep_usage_errors_exit_2(capsys, argv):
         (["sweep", "--mode", "conjecture-d", "--rank", "1"], "rank 1 is below the minimum 2"),
         (["typed", "smooth", "--", "1"], "rank 1 is below the minimum 2"),
         (["typed", "smooth", "--", "1,2,3,4,5,6"], "rank 6 exceeds the supported limit 5"),
+        (["sweep", "--mode", "conjecture-d", "--rank", "3", "--n", "9"],
+         "--n does not apply to mode conjecture-d; it takes --rank"),
+        (["sweep", "--mode", "theorem-verify", "--n", "4", "--rank", "3"],
+         "--rank does not apply to mode theorem-verify; it takes --n"),
     ],
 )
 def test_out_of_range_values_are_refused_by_name(capsys, argv, message):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from oracles import (
     reference_verify_order,
     wedges_by_definition,
 )
+from smoothchains import bruhat
 from smoothchains.admissible import (
     admissibility_violation,
     c23,
@@ -25,6 +27,7 @@ from smoothchains.admissible import (
 )
 from smoothchains.orders import (
     NotSmoothError,
+    Verdict,
     _moves,
     connected_by_moves,
     construct_compatible_order,
@@ -36,6 +39,7 @@ from smoothchains.orders import (
     order_graph,
     order_graph_dot,
     order_text,
+    order_verdicts,
     smoothness_report,
     verify_order,
 )
@@ -260,6 +264,74 @@ def test_sampled_s5_orders_all_verify():
     for w in rng.sample(pool, 10):
         for order in enumerate_compatible_orders(c23(w)):
             assert verify_order(w, order).all_ok, w
+
+
+# ------------------------------------------------ verdicts by folding
+
+ALL_OK = Verdict(True, True, True)
+
+
+def _listed_verdicts(w):
+    orders = enumerate_compatible_orders(c23(w), None)
+    return Counter(verify_order(w, order).verdict for order in orders)
+
+
+@pytest.mark.parametrize("break_covers", [False, True])
+def test_order_verdicts_match_listing_and_verify_order(monkeypatch, break_covers):
+    if break_covers:
+        # a cover test that also fails some true covers, read by both paths
+        real = bruhat.swap_covers
+        monkeypatch.setattr(
+            bruhat, "swap_covers",
+            lambda x, i, j: real(x, i, j) and not (j - i == 2 and x[i - 1] == 1),
+        )
+    failing = Counter()
+    for n in range(1, 6):
+        for w in smooth_windows(n):
+            folded = order_verdicts(w, None)
+            assert folded == _listed_verdicts(w), w
+            failing.update({v: c for v, c in folded.items() if v != ALL_OK})
+    if break_covers:
+        # 1,146 arrangements fail, in every chain failure and no product
+        assert sum(failing.values()) == 1146
+        assert set(failing) == {
+            Verdict(True, False, True), Verdict(True, True, False), Verdict(True, False, False)
+        }
+    else:
+        assert not failing
+
+
+@pytest.mark.parametrize(
+    "n, count", [(1, 1), (2, 1), (3, 2), (4, 16), (5, 768), (6, 292864)]
+)
+def test_order_verdicts_of_the_longest_element_count_reduced_words(n, count):
+    # for w0 the counts are Stanley's reduced-word counts (OEIS A005118)
+    w0 = tuple(range(n, 0, -1))
+    assert order_verdicts(w0, None) == {ALL_OK: count}
+
+
+def test_order_verdicts_over_smooth_s6_at_cap_15():
+    total = Counter()
+    for w in smooth_windows(6):
+        total.update(order_verdicts(w, 15))
+    assert total == {ALL_OK: 365926}
+
+
+@pytest.mark.slow
+def test_order_verdicts_over_smooth_s7_at_cap_21():
+    total = Counter()
+    for w in smooth_windows(7):
+        total.update(order_verdicts(w, 21))
+    assert total == {ALL_OK: 1176611151}
+
+
+def test_order_verdicts_refuse_over_the_cap_as_listing_does():
+    w = parse("54321")  # 10 reflections
+    with pytest.raises(ValueError) as listed:
+        enumerate_compatible_orders(c23(w), 9)
+    with pytest.raises(ValueError) as folded:
+        order_verdicts(w, 9)
+    assert str(folded.value) == str(listed.value)
 
 
 def test_some_compatible_order_starts_away_from_the_wedge():
