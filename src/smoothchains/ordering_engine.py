@@ -16,7 +16,8 @@ arrangement is compatible when, for every pair,
 Neither or both products without mid make the rule unsatisfiable; on
 admissible sets this never happens.  ``is_compatible_order`` checks the
 rule on one arrangement.  ``_placement_rule`` compiles the pairs once
-into a test of which item may be placed next:
+into one step function, next_steps(placed), which lists the items that
+may be placed next:
 
   * an item must wait for every item the rule puts before it (a pair
     without mid puts one end before the other, or both ends before each
@@ -29,23 +30,25 @@ Every prefix built this way extends to the rule consistently, so a
 completed arrangement is compatible and no final filtering pass is
 needed.  Placement depends only on the set of items already placed,
 so the compatible arrangements are exactly the paths from the empty
-set to the full one through such sets.  ``constrained_orders`` yields
-every compatible arrangement, depth first over items in sorted order,
-so the output sequence is deterministic; ``capped_orders`` lists them,
-refusing sets over a cap.  The search keeps, for one call only, a memo
-from each placed set to the items that may come next, so the rule runs
-once per set rather than once per path through it.  ``fold_orders``,
-under the same cap, walks those sets instead of the paths and returns
-each product of a compatible arrangement with its number of
-arrangements (linear-extension counting over the lattice of ideals, De
-Loof, De Meyer and De Baets 2006).  The type D conjecture check and the
-type A order verdicts (orders.order_verdicts) use it; order listing,
-move-graph connectivity and enumerate_compatible_orders_d still list.
+set to the full one through such sets.  Both walkers take their steps
+from next_steps.  ``constrained_orders`` follows the paths depth first,
+over items in sorted order, and appends each completed arrangement to
+one list, so the output sequence is deterministic; a cache that lives
+for the call runs next_steps once per set rather than once per path.
+``capped_orders`` is that listing, refusing sets over a cap.
+``fold_orders``, under the same cap, walks the sets instead of the
+paths and returns each product of a compatible arrangement with its
+number of arrangements (linear-extension counting over the lattice of
+ideals, De Loof, De Meyer and De Baets 2006).  The type D conjecture
+check and the type A order verdicts (orders.order_verdicts) use it;
+order listing, move-graph connectivity and enumerate_compatible_orders_d
+still list.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator
+import functools
+from typing import Callable, Hashable, Iterable
 
 Item = Hashable
 # (a, b, mid, ab, ba): see the module docstring.
@@ -92,6 +95,7 @@ def capped_orders(
     Refuses more than max_items items (None lifts the cap) before the
     pairs are read, since the search space grows factorially.
     """
+    # list(): perfbench/trace_layers.py wraps constrained_orders to return an iterator
     return list(constrained_orders(_capped(items, max_items), pairs))
 
 
@@ -111,17 +115,13 @@ def fold_orders(
     window with the verdicts of the steps so far.  Returns {} when no
     arrangement is compatible.  The cap is that of capped_orders.
     """
-    ordered, placeable = _placement_rule(_capped(items, max_items), pairs)
-    k = len(ordered)
+    k, next_steps = _placement_rule(_capped(items, max_items), pairs)
     layer = {0: {start: 1}}
     for _ in range(k):
         nxt: dict[int, dict[Product, int]] = {}
         for placed, products in layer.items():
-            for p in range(k):
-                if (placed >> p) & 1 or not placeable(p, placed):
-                    continue
-                item = ordered[p]
-                target = nxt.setdefault(placed | (1 << p), {})
+            for bit, item in next_steps(placed):
+                target = nxt.setdefault(placed | bit, {})
                 for x, count in products.items():
                     y = step(x, item)
                     target[y] = target.get(y, 0) + count
@@ -131,11 +131,12 @@ def fold_orders(
 
 def _placement_rule(
     items: Iterable[Item], pairs: Iterable[Pair]
-) -> tuple[list[Item], Callable[[int, int], bool]]:
-    """The items sorted, and placeable(p, placed) over index bitmasks.
+) -> tuple[int, Callable[[int], list[tuple[int, Item]]]]:
+    """The item count, and next_steps(placed) over index bitmasks.
 
-    placeable applies the placement rules of the module docstring.
-    Pairs naming unknown or repeated items are rejected.
+    next_steps lists (bit, item), in sorted item order, for each item
+    outside placed that the placement rules of the module docstring
+    allow next.  Pairs naming unknown or repeated items are rejected.
     """
     ordered = sorted(set(items))
     k = len(ordered)
@@ -175,46 +176,41 @@ def _placement_rule(
                     return False
         return True
 
-    return ordered, placeable
+    steps = [(p, 1 << p, item) for p, item in enumerate(ordered)]
+
+    def next_steps(placed: int) -> list[tuple[int, Item]]:
+        return [
+            (bit, item) for p, bit, item in steps
+            if not placed & bit and placeable(p, placed)
+        ]
+
+    return k, next_steps
 
 
 def constrained_orders(
     items: Iterable[Item], pairs: Iterable[Pair]
-) -> Iterator[tuple[Item, ...]]:
-    """Yield every arrangement of items that the pair rule allows.
+) -> list[tuple[Item, ...]]:
+    """Every arrangement of items that the pair rule allows, in one list.
 
-    Depth first, one recursion level per placed item; the items that
-    may come next depend only on the placed set, so they are found once
-    per set and kept for this call.  Unsatisfiable pairs simply yield
-    nothing.  Pairs naming unknown items are rejected.
+    Depth first over items in sorted order.  The items that may come
+    next depend only on the placed set, so next_steps runs once per set
+    under a cache that lives for this call.  Unsatisfiable pairs give
+    an empty list.  Pairs naming unknown items are rejected.
     """
-    ordered, placeable = _placement_rule(items, pairs)
-    k = len(ordered)
-    # placed bitmask -> (bit, item) for each item that may come next
-    steps: dict[int, list[tuple[int, Item]]] = {}
-
-    def steps_from(placed: int) -> list[tuple[int, Item]]:
-        found = steps.get(placed)
-        if found is None:
-            found = steps[placed] = [
-                (1 << p, ordered[p]) for p in range(k)
-                if not (placed >> p) & 1 and placeable(p, placed)
-            ]
-        return found
-
-    return _arrangements(steps_from, (1 << k) - 1, 0, ())
+    k, next_steps = _placement_rule(items, pairs)
+    listed: list[tuple[Item, ...]] = []
+    _extend(functools.cache(next_steps), (1 << k) - 1, 0, (), listed)
+    return listed
 
 
-def _arrangements(
-    steps_from: Callable[[int], list], full: int, placed: int, arranged: tuple
-) -> Iterator[tuple[Item, ...]]:
-    """Every arrangement that completes arranged, whose items are placed.
+def _extend(next_steps, full: int, placed: int, arranged: tuple, listed: list) -> None:
+    """Append to listed every arrangement that completes arranged.
 
     At module level, so no reference cycle keeps the memo alive after
     the listing ends, as a nested function calling itself would.
     """
     if placed == full:
-        yield arranged
+        listed.append(arranged)
         return
-    for bit, item in steps_from(placed):
-        yield from _arrangements(steps_from, full, placed | bit, arranged + (item,))
+    for bit, item in next_steps(placed):
+        _extend(next_steps, full, placed | bit, arranged + (item,), listed)

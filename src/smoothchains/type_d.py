@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -218,9 +219,10 @@ class WeylGroupD:
                     mask |= below[i]
             below.append(mask)
         self.below: tuple[int, ...] = tuple(below)
+        # ids are sorted by length, so length d owns the id range [start, end)
+        starts = [bisect_left(self.lengths, d) for d in range(self.max_length + 2)]
         self._level_masks: tuple[int, ...] = tuple(
-            sum(1 << i for i in range(len(self.windows)) if self.lengths[i] == d)
-            for d in range(self.max_length + 1)
+            (1 << end) - (1 << start) for start, end in zip(starts, starts[1:])
         )
 
     def __len__(self) -> int:
@@ -228,11 +230,18 @@ class WeylGroupD:
 
     @cached_property
     def label_ids(self) -> dict[Label, int]:
-        """The element id realizing each label of c23_labels."""
-        return {
-            lab: self.index[realize_label(lab, self.rank)]
-            for lab in c23_labels(self.rank)
-        }
+        """The element id realizing each label of c23_labels.
+
+        Realization is checked injective, so ordered products are honest
+        set members, not aliases of other labels.
+        """
+        ids: dict[Label, int] = {}
+        label_at: dict[int, Label] = {}
+        for lab in c23_labels(self.rank):
+            i = ids[lab] = self.index[realize_label(lab, self.rank)]
+            if label_at.setdefault(i, lab) != lab:
+                raise AssertionError(f"realization collision between {label_at[i]} and {lab}")
+        return ids
 
     def length_of(self, w: SignedWindow) -> int:
         return self.lengths[self.index[w]]
@@ -282,9 +291,8 @@ def c23_labels(n: int) -> tuple[Label, ...]:
     """Reflections and ordered summable reflection products, sorted.
 
     Labels are ("t", alpha) and ("tt", alpha, beta) with alpha + beta a
-    positive root.  Realization is checked injective: distinct labels
-    give distinct group elements, so ordered products are honest set
-    members, not aliases.
+    positive root.  WeylGroupD.label_ids checks that realization is
+    injective.
     """
     pos = positive_roots(n)
     pos_set = _positive_root_set(n)
@@ -293,14 +301,6 @@ def c23_labels(n: int) -> tuple[Label, ...]:
         for b in pos:
             if a != b and tuple_add(a, b) in pos_set:
                 labels.append(("tt", a, b))
-    windows = {}
-    for lab in labels:
-        win = realize_label(lab, n)
-        if win in windows:
-            raise AssertionError(
-                f"realization collision between {windows[win]} and {lab}"
-            )
-        windows[win] = lab
     return tuple(sorted(labels))
 
 

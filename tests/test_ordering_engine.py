@@ -10,7 +10,15 @@ from smoothchains.ordering_engine import (
     fold_orders,
     is_compatible_order,
 )
-from smoothchains.permutations import all_windows, identity, times_transposition
+from smoothchains.permutations import all_windows, compose, identity, times_transposition
+from smoothchains.type_d import (
+    c23_below,
+    enumerate_compatible_orders_d,
+    reflection_roots,
+    reflection_window,
+    smooth_elements,
+    weyl_group,
+)
 
 
 def _append(prefix, item):
@@ -61,6 +69,43 @@ def test_fold_counts_products_of_smooth_windows(n):
             A.reflections, reflection_pairs(A), None, times_transposition, identity(n)
         )
         assert folded == {w: len(listed)}, w
+
+
+def _products_by_placed_set(orders, step, start):
+    """Each placed set of the listed arrangements -> its prefix products."""
+    found = {}
+    for order in orders:
+        x = start
+        for p, item in enumerate(order):
+            x = step(x, item)
+            found.setdefault(frozenset(order[: p + 1]), set()).add(x)
+    return found
+
+
+def test_the_placed_set_alone_determines_the_prefix_product():
+    # the fold keeps products per placed set; on smooth elements each set
+    # carries exactly one, in type A (S1-S5) and type D (D4)
+    arranged = 0
+    for n in range(1, 6):
+        for w in all_windows(n):
+            if not is_smooth_pattern(w):
+                continue
+            A = c23(w)
+            listed = capped_orders(A.reflections, reflection_pairs(A), None)
+            arranged += len(listed)
+            found = _products_by_placed_set(listed, times_transposition, identity(n))
+            assert all(len(xs) == 1 for xs in found.values()), w
+    assert arranged == 1581
+
+    group, arranged = weyl_group(4), 0
+    for w in smooth_elements(4):
+        A = c23_below(group, w)
+        listed = enumerate_compatible_orders_d(A, 4, None)
+        arranged += len(listed)
+        t = {alpha: reflection_window(alpha, 4) for alpha in reflection_roots(A)}
+        found = _products_by_placed_set(listed, lambda x, a: compose(x, t[a]), identity(4))
+        assert all(len(xs) == 1 for xs in found.values()), w
+    assert arranged == 3305
 
 
 def test_fold_over_no_items_is_the_start():

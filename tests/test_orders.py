@@ -302,7 +302,9 @@ def test_order_verdicts_match_listing_and_verify_order(monkeypatch, break_covers
 
 
 @pytest.mark.parametrize(
-    "n, count", [(1, 1), (2, 1), (3, 2), (4, 16), (5, 768), (6, 292864)]
+    "n, count",
+    [(1, 1), (2, 1), (3, 2), (4, 16), (5, 768), (6, 292864),
+     (7, 1_100_742_656), (8, 48_608_795_688_960)],
 )
 def test_order_verdicts_of_the_longest_element_count_reduced_words(n, count):
     # for w0 the counts are Stanley's reduced-word counts (OEIS A005118)

@@ -530,6 +530,26 @@ def test_check_element_fold_matches_listing_on_every_element(rank, wrong_product
     assert wrong == wrong_products
 
 
+def test_sharp_non_smooth_d4_element_has_no_compatible_order():
+    # (-1,-3,-2,-4) is the one non-smooth element of D4 with as many
+    # reflections below it as its length, so a reflection count does not
+    # set it apart; the product-pair axiom does, and no arrangement of
+    # its reflections is compatible
+    group = weyl_group(4)
+    sharp = [
+        w for w in group.windows
+        if not group.is_smooth(w)
+        and len(reflection_roots(c23_below(group, w))) == group.length_of(w)
+    ]
+    w = (-1, -3, -2, -4)
+    assert sharp == [w] and group.length_of(w) == 11
+    report = check_element(group, w, None)
+    assert report.admissibility_note == (
+        "axiom product-pair fails at t[e4-e1]t[e3+e1], t[e3+e1]t[e4-e1], t[e4+e3]"
+    )
+    assert report.orders_found == 0
+
+
 @pytest.mark.parametrize(
     "rank, w0, words",
     [(4, (-1, -2, -3, -4), 2316), (5, (1, -2, -3, -4, -5), 12985968)],
