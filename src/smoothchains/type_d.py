@@ -11,16 +11,18 @@ which in this simply laced type is smoothness), the set of reflections
 and ordered two-reflection products below w is admissible, admits a
 compatible arrangement of its reflections, and every compatible
 arrangement multiplies back to w.  The summable root pairs of a set
-(summable_pairs) are all this module hands ordering_engine, whose pair
-rule is compatibility; the two pair axioms of admissibility are read
-off the same pairs.  The product axiom is the same-decomposition rule:
-t_a t_b and t_b t_a both in A force t_{a+b}.  (Type A's cycle-pair
-axiom is the cross-decomposition rule; its type D analogue fails on
-smooth elements of rank 4.)
+(summable_pairs, filtered from a table built once per rank) are all
+this module hands ordering_engine, whose pair rule is compatibility;
+the two pair axioms of admissibility are read off the same pairs.  The
+product axiom is the same-decomposition rule: t_a t_b and t_b t_a both
+in A force t_{a+b}.  (Type A's cycle-pair axiom is the
+cross-decomposition rule; its type D analogue fails on smooth elements
+of rank 4.)
 
 check_element lists no arrangement: it folds the prefix products over
-the sets of placed reflections (fold_orders).  Listing remains in
-enumerate_compatible_orders_d, the reference for the fold.
+the sets of placed reflections (fold_orders), each step x * t_alpha a
+swap of two window positions (times_swap), as in WeylGroupD's build.
+Listing remains in enumerate_compatible_orders_d, the fold's reference.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ SignedWindow = tuple[int, ...]
 Label = tuple  # ("t", alpha) | ("tt", alpha, beta)
 
 MIN_RANK = 2  # type D starts at rank 2
-RANK_LIMIT = 5  # fixed: no group past rank 5 is built, and no caller can raise it
+RANK_LIMIT = 5  # read by WeylGroupD per call; cli.SIZE_BOUNDS copies it at import
 CONJECTURE_MAX_REFLECTIONS = 12
 # the product axiom admissibility_violation_d checks, named in reports
 PRODUCT_PAIR_RULE = "same-decomposition orientations"
@@ -86,17 +88,8 @@ def simple_roots(n: int) -> tuple[Root, ...]:
     return tuple(_root(n, j - 1, j, -1) for j in range(2, n + 1)) + (_root(n, 1, 2, 1),)
 
 
-@lru_cache(maxsize=None)
-def _positive_root_set(n: int) -> frozenset[Root]:
-    return frozenset(positive_roots(n))
-
-
 def tuple_add(a: Root, b: Root) -> Root:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def is_positive_root(alpha: Root) -> bool:
-    return alpha in _positive_root_set(len(alpha))
 
 
 def root_text(alpha: Root) -> str:
@@ -125,10 +118,10 @@ def parse_root(text: str, n: int) -> Root:
 
 def root_poset_covers(n: int) -> tuple[tuple[Root, Root], ...]:
     """Pairs (alpha, alpha + s) with s simple and alpha + s positive, sorted."""
-    pos = _positive_root_set(n)
+    pos = positive_roots(n)
     return tuple(sorted(
         (a, b)
-        for a in positive_roots(n)
+        for a in pos
         for s in simple_roots(n)
         if (b := tuple_add(a, s)) in pos
     ))
@@ -177,6 +170,22 @@ def reflection_window(alpha: Root, n: int) -> SignedWindow:
     return tuple(out)
 
 
+def reflection_swap(t: SignedWindow) -> tuple[int, int, bool]:
+    """(i, j, flip) of a reflection window: the 0-based positions i < j
+    it moves, and whether it negates them (t is t_alpha, alpha = e_j + e_i)."""
+    i, j = (p for p, v in enumerate(t) if abs(v) != p + 1)
+    return i, j, t[i] < 0
+
+
+def times_swap(x: SignedWindow, swap: tuple[int, int, bool]) -> SignedWindow:
+    """x * t for swap == reflection_swap(t): positions i and j of x trade
+    values, both negated when flip."""
+    i, j, flip = swap
+    out = list(x)
+    out[i], out[j] = (-x[j], -x[i]) if flip else (x[j], x[i])
+    return tuple(out)
+
+
 # ------------------------------------------------------- the Weyl group
 
 class WeylGroupD:
@@ -185,10 +194,10 @@ class WeylGroupD:
     The 2^(n-1) n! signed windows with evenly many sign flips are listed
     sorted by (length, window), lengths by permutations.length; ids
     index that listing.  Bruhat order is generated by the steps
-    w * t < w with w * t shorter, over reflections t.  w * t never has
-    w's length, so with ids in length order, w * t is shorter iff its
-    id is smaller: the downset bitmask of w is its own bit OR those of
-    its reflection neighbours with smaller ids, in one pass over ids.
+    w * t < w with w * t shorter, over reflections t (times_swap).  w * t
+    never has w's length, so with ids in length order, w * t is shorter
+    iff its id is smaller: the downset bitmask of w is its own bit OR
+    those of its reflection neighbours with smaller ids, in one pass.
     """
 
     def __init__(self, rank: int):
@@ -209,12 +218,12 @@ class WeylGroupD:
         self.index: dict[SignedWindow, int] = {w: i for i, w in enumerate(self.windows)}
         self.max_length = max(self.lengths)
 
-        self._reflections = [reflection_window(a, rank) for a in positive_roots(rank)]
+        swaps = [reflection_swap(reflection_window(a, rank)) for a in positive_roots(rank)]
         below = []
         for j, w in enumerate(self.windows):
             mask = 1 << j
-            for t in self._reflections:
-                i = self.index[compose(w, t)]
+            for swap in swaps:
+                i = self.index[times_swap(w, swap)]
                 if i < j:
                     mask |= below[i]
             below.append(mask)
@@ -243,21 +252,13 @@ class WeylGroupD:
                 raise AssertionError(f"realization collision between {label_at[i]} and {lab}")
         return ids
 
+    @cached_property
+    def ground_mask(self) -> int:
+        """The ids of all labels, as one bitmask."""
+        return sum(1 << i for i in self.label_ids.values())
+
     def length_of(self, w: SignedWindow) -> int:
         return self.lengths[self.index[w]]
-
-    def leq(self, x: SignedWindow, y: SignedWindow) -> bool:
-        """x <= y in Bruhat order."""
-        return bool(self.below[self.index[y]] >> self.index[x] & 1)
-
-    def cover_pairs(self) -> list[tuple[SignedWindow, SignedWindow]]:
-        """The Bruhat covers (w * t, w) with w * t one shorter than w."""
-        return [
-            (x, w)
-            for w, lw in zip(self.windows, self.lengths)
-            for t in self._reflections
-            if self.length_of(x := compose(w, t)) == lw - 1
-        ]
 
     def interval_rank_counts(self, w: SignedWindow) -> tuple[int, ...]:
         """Sizes of the length-graded pieces of [e, w]."""
@@ -287,6 +288,18 @@ def smooth_elements(rank: int) -> list[SignedWindow]:
 # ------------------------------------------- ground set and admissibility
 
 @lru_cache(maxsize=None)
+def _summable_root_pairs(n: int) -> tuple[tuple, ...]:
+    """(a, b, a + b, t_a, t_b, t_{a+b}, t_a t_b, t_b t_a) for positive
+    roots a < b whose sum is a positive root, in combinations order."""
+    pos = positive_roots(n)
+    return tuple(
+        (a, b, gamma, ("t", a), ("t", b), ("t", gamma), ("tt", a, b), ("tt", b, a))
+        for a, b in itertools.combinations(pos, 2)
+        if (gamma := tuple_add(a, b)) in pos
+    )
+
+
+@lru_cache(maxsize=None)
 def c23_labels(n: int) -> tuple[Label, ...]:
     """Reflections and ordered summable reflection products, sorted.
 
@@ -294,14 +307,8 @@ def c23_labels(n: int) -> tuple[Label, ...]:
     positive root.  WeylGroupD.label_ids checks that realization is
     injective.
     """
-    pos = positive_roots(n)
-    pos_set = _positive_root_set(n)
-    labels: list[Label] = [("t", a) for a in pos]
-    for a in pos:
-        for b in pos:
-            if a != b and tuple_add(a, b) in pos_set:
-                labels.append(("tt", a, b))
-    return tuple(sorted(labels))
+    products = [lab for *_, ab, ba in _summable_root_pairs(n) for lab in (ab, ba)]
+    return tuple(sorted([("t", a) for a in positive_roots(n)] + products))
 
 
 def realize_label(label: Label, n: int) -> SignedWindow:
@@ -347,7 +354,7 @@ def admissibility_violation_d(
     there, so every product in A belongs to a listed pair.
     """
     ids = group.label_ids
-    ground = sum(1 << i for i in ids.values())
+    ground = group.ground_mask
     members = sum(1 << ids[lab] for lab in A)
     for lab in sorted(A):
         missing = group.below[ids[lab]] & ground & ~members
@@ -378,18 +385,11 @@ def summable_pairs(A: frozenset[Label], n: int):
     Yields (a, b, a + b or None, t_a t_b in A, t_b t_a in A) for each
     pair of reflection roots of A, in combinations order, whose sum is
     a positive root; the sum is given when its reflection is a member.
+    Filters the rank's table, so no root arithmetic runs per set.
     """
-    pos_set = _positive_root_set(n)
-    for a, b in itertools.combinations(reflection_roots(A), 2):
-        gamma = tuple_add(a, b)
-        if gamma in pos_set:
-            yield (
-                a,
-                b,
-                gamma if ("t", gamma) in A else None,
-                ("tt", a, b) in A,
-                ("tt", b, a) in A,
-            )
+    for a, b, gamma, ta, tb, tgamma, tab, tba in _summable_root_pairs(n):
+        if ta in A and tb in A:
+            yield a, b, gamma if tgamma in A else None, tab in A, tba in A
 
 
 def enumerate_compatible_orders_d(
@@ -481,19 +481,19 @@ def check_element(
 
     fold_orders gives the product of every compatible order without
     listing them; its cap and refusal are enumerate_compatible_orders_d's.
+    Each fold step x * t_alpha is the swap read off t_alpha's window.
     """
     n = group.rank
     A = c23_below(group, w)
     violation = admissibility_violation_d(group, A)
     admissible = violation is None
     roots = reflection_roots(A)
-    # t_alpha for each member root, built once per element
-    t = {alpha: product_of_root_order((alpha,), n) for alpha in roots}
+    swap = {alpha: reflection_swap(product_of_root_order((alpha,), n)) for alpha in roots}
     products = fold_orders(
         roots,
         summable_pairs(A, n),
         max_reflections,
-        lambda x, alpha: compose(x, t[alpha]),
+        lambda x, alpha: times_swap(x, swap[alpha]),
         identity(n),
     )
     return ConjectureElementReport(

@@ -274,6 +274,38 @@ def d_negative_count_even(window: tuple[int, ...]) -> bool:
     return sum(1 for v in window if v < 0) % 2 == 0
 
 
+def is_positive_root(alpha: tuple[int, ...]) -> bool:
+    from smoothchains.type_d import positive_roots
+
+    return alpha in positive_roots(len(alpha))
+
+
+def d_reflections(group) -> list[tuple[int, ...]]:
+    """The reflection windows of the group's rank, in positive root order."""
+    from smoothchains.type_d import positive_roots, reflection_window
+
+    return [reflection_window(a, group.rank) for a in positive_roots(group.rank)]
+
+
+def d_leq(group, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """x <= y in Bruhat order, read off the group's downset bitmasks."""
+    return bool(group.below[group.index[y]] >> group.index[x] & 1)
+
+
+def d_cover_pairs(group) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The covers (w * t, w) with w * t one shorter than w, from the
+    group's lengths; d_cover_pairs_oracle is the definitional version."""
+    from smoothchains.permutations import compose
+
+    refl = d_reflections(group)
+    return [
+        (x, w)
+        for w, lw in zip(group.windows, group.lengths)
+        for t in refl
+        if group.length_of(x := compose(w, t)) == lw - 1
+    ]
+
+
 def all_roots(n: int) -> tuple[tuple[int, ...], ...]:
     """Every type D root of rank n, positive and negative, sorted."""
     from smoothchains.type_d import positive_roots
@@ -302,13 +334,27 @@ def act_on_root(w: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
 
 def length_by_roots(w: tuple[int, ...]) -> int:
     """Number of positive roots sent negative; the Coxeter length."""
-    from smoothchains.type_d import is_positive_root, positive_roots
+    from smoothchains.type_d import positive_roots
 
     return sum(
         1
         for alpha in positive_roots(len(w))
         if not is_positive_root(act_on_root(w, alpha))
     )
+
+
+def d_summable_pairs_by_combinations(A, n: int) -> list[tuple]:
+    """summable_pairs from every two-element combination of A's
+    reflection roots, summed with tuple_add, rather than the rank table."""
+    from smoothchains.type_d import positive_roots, reflection_roots, tuple_add
+
+    out = []
+    for a, b in itertools.combinations(reflection_roots(A), 2):
+        gamma = tuple_add(a, b)
+        if gamma in positive_roots(n):
+            mid = gamma if ("t", gamma) in A else None
+            out.append((a, b, mid, ("tt", a, b) in A, ("tt", b, a) in A))
+    return out
 
 
 def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
@@ -319,10 +365,8 @@ def d_downsets(group) -> dict[tuple[int, ...], frozenset]:
     Independent of the group's graded cover construction.
     """
     from smoothchains.permutations import compose
-    from smoothchains.type_d import positive_roots, reflection_window
 
-    n = group.rank
-    refl = [reflection_window(a, n) for a in positive_roots(n)]
+    refl = d_reflections(group)
     elements = sorted(group.windows, key=length_by_roots)
     down: dict[tuple[int, ...], frozenset] = {}
     for w in elements:
@@ -386,7 +430,7 @@ def d_label_ideals(group) -> dict:
     n = group.rank
     window = {lab: realize_label(lab, n) for lab in c23_labels(n)}
     return {
-        lab: frozenset(x for x in window if group.leq(window[x], top))
+        lab: frozenset(x for x in window if d_leq(group, window[x], top))
         for lab, top in window.items()
     }
 
@@ -397,8 +441,6 @@ def leading_simple(alpha):
     e_j - e_i and e_j + e_i both map to e_j - e_{j-1}, except that
     e_2 + e_1 maps to itself.
     """
-    from smoothchains.type_d import is_positive_root
-
     if not is_positive_root(alpha):
         raise ValueError(f"not a positive type D root: {alpha}")
     i, j = (k + 1 for k, c in enumerate(alpha) if c)

@@ -13,10 +13,14 @@ from oracles import (
     act_on_root,
     all_roots,
     d_admissibility_violation_by_labels,
+    d_cover_pairs,
     d_cover_pairs_oracle,
     d_downsets,
     d_label_ideals,
+    d_leq,
     d_reduced_word_counts,
+    d_summable_pairs_by_combinations,
+    is_positive_root,
     leading_simple,
     length_by_roots,
     root_reflection_image,
@@ -34,13 +38,13 @@ from smoothchains.type_d import (
     check_element,
     embed_window,
     enumerate_compatible_orders_d,
-    is_positive_root,
     label_text,
     parse_root,
     positive_roots,
     product_of_root_order,
     realize_label,
     reflection_roots,
+    reflection_swap,
     reflection_window,
     root_poset_covers,
     root_text,
@@ -51,6 +55,7 @@ from smoothchains.type_d import (
     sp_parse,
     sp_text,
     summable_pairs,
+    times_swap,
     tuple_add,
     validate_signed_window,
     verify_conjecture_d,
@@ -235,6 +240,22 @@ def test_reflections_are_involutions_matching_the_formula():
                 )
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_swap_step_is_right_multiplication_by_the_reflection(n):
+    for alpha in positive_roots(n):
+        t = reflection_window(alpha, n)
+        swap = reflection_swap(t)
+        for x in weyl_group(n).windows:
+            assert times_swap(x, swap) == compose(x, t), (x, alpha)
+
+
+def test_reflection_swap_goldens():
+    # e4-e2 swaps positions 2 and 4; e2+e1 also negates positions 1 and 2
+    assert reflection_swap(reflection_window(parse_root("e4-e2", 4), 4)) == (1, 3, False)
+    assert reflection_swap(reflection_window(parse_root("e2+e1", 4), 4)) == (0, 1, True)
+    assert times_swap((3, -1, 4, 2), (0, 1, True)) == (1, -3, 4, 2)
+
+
 def test_reflection_window_goldens():
     assert reflection_window(parse_root("e2+e1", 4), 4) == (-2, -1, 3, 4)
     assert reflection_window(parse_root("e3-e1", 4), 4) == (3, 2, 1, 4)
@@ -290,13 +311,13 @@ def test_bruhat_leq_matches_reachability_oracle(rank):
     for y in group.windows:
         ds = down[y]
         for x in group.windows:
-            assert group.leq(x, y) == (x in ds), (x, y)
+            assert d_leq(group, x, y) == (x in ds), (x, y)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_cover_pairs_match_oracle(rank):
     group = weyl_group(rank)
-    assert set(group.cover_pairs()) == d_cover_pairs_oracle(group)
+    assert set(d_cover_pairs(group)) == d_cover_pairs_oracle(group)
 
 
 def test_interval_rank_counts_bookkeeping():
@@ -466,6 +487,14 @@ def test_compatible_orders_verify_products_on_d3():
             assert product_of_root_order(order, n) == w
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_summable_pairs_match_combinations_of_member_roots(rank):
+    group = weyl_group(rank)
+    for w in group.windows:
+        A = c23_below(group, w)
+        assert list(summable_pairs(A, rank)) == d_summable_pairs_by_combinations(A, rank), w
+
+
 def test_is_compatible_d_validates_membership():
     group = weyl_group(3)
     A = c23_below(group, (-2, -1, 3))
@@ -589,3 +618,17 @@ def test_cross_pair_product_axiom_fails_on_rank4():
 def test_conjecture_rank_guard():
     with pytest.raises(ValueError):
         verify_conjecture_d(6)
+
+
+@pytest.mark.slow
+def test_conjecture_holds_on_every_smooth_element_of_d6(monkeypatch):
+    # built directly, not through the cached weyl_group, so the group
+    # is freed when the test ends
+    monkeypatch.setattr(type_d_mod, "RANK_LIMIT", 6)
+    group = type_d_mod.WeylGroupD(6)
+    smooth = [w for w in group.windows if group.is_smooth(w)]
+    reports = [check_element(group, w, max_reflections=None) for w in smooth]
+    assert len(group) == 23040
+    assert len(smooth) == 2164
+    assert [e.window for e in reports if not e.ok] == []
+    assert sum(e.orders_found for e in reports) == 4817069429115
