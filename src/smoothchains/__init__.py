@@ -15,7 +15,6 @@ from .admissible import (
     all_elements23,
     c23,
     c_t,
-    element23_leq,
     find_wedges,
     format_element,
     invert_set,
@@ -31,10 +30,8 @@ from .bruhat import (
     chain_text,
     chain_to_dot,
     is_cover,
-    is_saturated_chain,
     leq,
     rank_matrix,
-    reflection_leq,
 )
 from .orders import (
     NotSmoothError,
@@ -89,7 +86,6 @@ __all__ = [
     "compose",
     "construct_compatible_order",
     "contains_pattern",
-    "element23_leq",
     "elementary_neighbors",
     "enumerate_compatible_orders",
     "find_wedges",
@@ -102,7 +98,6 @@ __all__ = [
     "is_admissible",
     "is_compatible",
     "is_cover",
-    "is_saturated_chain",
     "is_smooth_length",
     "is_smooth_pattern",
     "length",
@@ -117,7 +112,6 @@ __all__ = [
     "positive_roots",
     "rank_matrix",
     "realize",
-    "reflection_leq",
     "restrict",
     "simple_roots",
     "smoothness_report",

@@ -125,11 +125,6 @@ def _below_within_ground(n: int) -> dict[Element, frozenset[Element]]:
     return {e: c23(realize(e, n)).members for e in all_elements23(n)}
 
 
-def element23_leq(elem: Element, w: Window) -> bool:
-    """Is the realized element below w in Bruhat order?"""
-    return validate_element(elem, len(w)) in c23(w).members
-
-
 @dataclass(frozen=True)
 class AdmissibleSet:
     """A set of ground elements of a fixed degree (admissibility not implied)."""
@@ -150,9 +145,6 @@ class AdmissibleSet:
 
     def sorted_members(self) -> list[Element]:
         return sorted(self.members, key=element_sort_key)
-
-    def member_texts(self) -> list[str]:
-        return [format_element(e) for e in self.sorted_members()]
 
 
 def make_set(degree: int, members: Iterable[Element]) -> AdmissibleSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .permutations import Transposition, Window, format_window, inverse, mu
+from .permutations import Window, format_window, inverse, mu
 
 
 def rank_matrix(w: Window) -> tuple[tuple[int, ...], ...]:
@@ -59,14 +59,6 @@ def swap_covers(x: Sequence[int], i: int, j: int) -> bool:
     return True
 
 
-def reflection_leq(t: Transposition, w: Window) -> bool:
-    """T(i, j) <= w, read off reflection_bounds(w)."""
-    i, j = t
-    if not 1 <= i < j <= len(w):
-        raise ValueError(f"T{t} does not fit in degree {len(w)}")
-    return j <= reflection_bounds(w)[i - 1]
-
-
 def reflection_bounds(w: Window) -> tuple[int, ...]:
     """Which reflections lie below w, for every i at once.
 
@@ -83,12 +75,6 @@ def reflection_bounds(w: Window) -> tuple[int, ...]:
 def bounds_from_maxima(m: Sequence[int], mi: Sequence[int]) -> tuple[int, ...]:
     """reflection_bounds(w) from m = mu(w) and mi = mu(w^{-1})."""
     return tuple(map(min, m, mi))
-
-
-def is_saturated_chain(chain: Sequence[Window]) -> bool:
-    """Is every consecutive step of the chain a covering relation?"""
-    _validate_chain(chain)
-    return all(is_cover(x, y) for x, y in zip(chain, chain[1:]))
 
 
 def _validate_chain(chain: Sequence[Window]) -> None:

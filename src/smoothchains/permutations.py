@@ -144,11 +144,6 @@ def times_transposition(w: Window, t: Transposition) -> Window:
     return tuple(out)
 
 
-def all_transpositions(n: int) -> list[Transposition]:
-    """All (i, j) with 1 <= i < j <= n, lexicographically."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
 def length(w: Window) -> int:
     """Coxeter length: #{i < j : w(i) > w(j)} + #{i < j : w(i) + w(j) < 0}.
 

@@ -19,10 +19,12 @@ in A force t_{a+b}.  (Type A's cycle-pair axiom is the
 cross-decomposition rule; its type D analogue fails on smooth elements
 of rank 4.)
 
-check_element lists no arrangement: it folds the prefix products over
-the sets of placed reflections (fold_orders), each step x * t_alpha a
-swap of two window positions (times_swap), as in WeylGroupD's build.
-Listing remains in enumerate_compatible_orders_d, the fold's reference.
+check_element builds no label set and lists no arrangement: it reads
+its roots and pairs off w's downset bitmask (roots_and_pairs) and
+folds the prefix products over the sets of placed reflections
+(fold_orders), each step x * t_alpha a swap from the group's table
+(times_swap).  c23_below and enumerate_compatible_orders_d remain as
+the label-set and listing references.
 """
 
 from __future__ import annotations
@@ -198,6 +200,8 @@ class WeylGroupD:
     never has w's length, so with ids in length order, w * t is shorter
     iff its id is smaller: the downset bitmask of w is its own bit OR
     those of its reflection neighbours with smaller ids, in one pass.
+    swaps (alpha -> (i, j, flip) of t_alpha) serves this build and the
+    fold of check_element; label_tables places the labels among the ids.
     """
 
     def __init__(self, rank: int):
@@ -218,11 +222,11 @@ class WeylGroupD:
         self.index: dict[SignedWindow, int] = {w: i for i, w in enumerate(self.windows)}
         self.max_length = max(self.lengths)
 
-        swaps = [reflection_swap(reflection_window(a, rank)) for a in positive_roots(rank)]
+        self.swaps = {a: reflection_swap(product_of_root_order((a,), rank)) for a in positive_roots(rank)}
         below = []
         for j, w in enumerate(self.windows):
             mask = 1 << j
-            for swap in swaps:
+            for swap in self.swaps.values():
                 i = self.index[times_swap(w, swap)]
                 if i < j:
                     mask |= below[i]
@@ -256,6 +260,18 @@ class WeylGroupD:
     def ground_mask(self) -> int:
         """The ids of all labels, as one bitmask."""
         return sum(1 << i for i in self.label_ids.values())
+
+    @cached_property
+    def label_tables(self) -> tuple[tuple, tuple, tuple]:
+        """(reflections, pairs, labels), the ids check_element tests on a
+        downset: (alpha, id of t_alpha) in root order; each
+        _summable_root_pairs row as a, b, a + b and its five label ids;
+        (label, id) sorted by label."""
+        ids = self.label_ids
+        reflections = tuple((a, ids["t", a]) for a in positive_roots(self.rank))
+        rows = _summable_root_pairs(self.rank)
+        pairs = tuple((a, b, gamma, *(ids[lab] for lab in labs)) for a, b, gamma, *labs in rows)
+        return reflections, pairs, tuple(sorted(ids.items()))
 
     def length_of(self, w: SignedWindow) -> int:
         return self.lengths[self.index[w]]
@@ -345,23 +361,29 @@ class AdmissibilityViolationD:
 def admissibility_violation_d(
     group: WeylGroupD, A: frozenset[Label]
 ) -> AdmissibilityViolationD | None:
-    """First failed axiom of the conjectured admissibility, or None.
-
-    After closure, both pair axioms are read off summable_pairs: a pair
-    with both orientations t_a t_b, t_b t_a in A but not t_{a+b} fails
-    product-pair, and a pair with neither orientation fails
-    reflection-pair.  Closure puts t_a and t_b in A whenever t_a t_b is
-    there, so every product in A belongs to a listed pair.
-    """
+    """First failed axiom of the conjectured admissibility, or None;
+    _first_violation on A's label ids and summable pairs."""
     ids = group.label_ids
-    ground = group.ground_mask
     members = sum(1 << ids[lab] for lab in A)
-    for lab in sorted(A):
-        missing = group.below[ids[lab]] & ground & ~members
-        if missing:
-            culprit = min(x for x, i in ids.items() if missing >> i & 1)
+    return _first_violation(group, members, list(summable_pairs(A, group.rank)))
+
+
+def _first_violation(group: WeylGroupD, members: int, pairs: list) -> AdmissibilityViolationD | None:
+    """First failed axiom for the labels whose ids are set in members.
+
+    Closure is checked first, member by member in label order.  Then a
+    pair with both orientations t_a t_b, t_b t_a but not t_{a+b} fails
+    product-pair, and a pair with neither fails reflection-pair.  Closure
+    puts t_a and t_b in the set whenever t_a t_b is there, so every
+    product member belongs to one of pairs, the members' summable pairs.
+    """
+    below = group.below
+    labels = group.label_tables[2]
+    outside = group.ground_mask & ~members
+    for lab, i in labels:
+        if members >> i & 1 and (missing := below[i] & outside):
+            culprit = next(x for x, k in labels if missing >> k & 1)
             return AdmissibilityViolationD("closure", (lab, culprit))
-    pairs = list(summable_pairs(A, group.rank))
     for a, b, mid, ab, ba in pairs:
         if ab and ba and mid is None:
             return AdmissibilityViolationD(
@@ -371,6 +393,21 @@ def admissibility_violation_d(
         if not ab and not ba:
             return AdmissibilityViolationD("reflection-pair", (("t", a), ("t", b)))
     return None
+
+
+def roots_and_pairs(group: WeylGroupD, members: int) -> tuple[tuple[Root, ...], list]:
+    """reflection_roots and list(summable_pairs) of the labels whose ids
+    are set in members, by bit tests against group.label_tables."""
+    reflections, rows, _ = group.label_tables
+    present = {i for _, i in reflections if members >> i & 1}
+    roots = tuple(a for a, i in reflections if i in present)
+    pairs = [
+        (a, b, gamma if ig in present else None,
+         members >> iab & 1 == 1, members >> iba & 1 == 1)
+        for a, b, gamma, ia, ib, ig, iab, iba in rows
+        if ia in present and ib in present
+    ]
+    return roots, pairs
 
 
 # ------------------------------------------------- compatible arrangements
@@ -479,22 +516,18 @@ def check_element(
 ) -> ConjectureElementReport:
     """Run the three conjecture checks for one smooth element.
 
-    fold_orders gives the product of every compatible order without
-    listing them; its cap and refusal are enumerate_compatible_orders_d's.
-    Each fold step x * t_alpha is the swap read off t_alpha's window.
+    One list of summable pairs, read off w's downset bitmask, feeds
+    both the admissibility axioms and fold_orders, which gives the
+    product of every compatible order without listing them; its cap and
+    refusal are enumerate_compatible_orders_d's.
     """
-    n = group.rank
-    A = c23_below(group, w)
-    violation = admissibility_violation_d(group, A)
+    members = group.below[group.index[w]] & group.ground_mask
+    roots, pairs = roots_and_pairs(group, members)
+    violation = _first_violation(group, members, pairs)
     admissible = violation is None
-    roots = reflection_roots(A)
-    swap = {alpha: reflection_swap(product_of_root_order((alpha,), n)) for alpha in roots}
+    swaps = group.swaps
     products = fold_orders(
-        roots,
-        summable_pairs(A, n),
-        max_reflections,
-        lambda x, alpha: times_swap(x, swap[alpha]),
-        identity(n),
+        roots, pairs, max_reflections, lambda x, alpha: times_swap(x, swaps[alpha]), identity(group.rank)
     )
     return ConjectureElementReport(
         window=w,

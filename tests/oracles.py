@@ -28,7 +28,8 @@ def swap_positions(w: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def all_transp(n: int) -> list[tuple[int, int]]:
+def all_transpositions(n: int) -> list[tuple[int, int]]:
+    """All (i, j) with 1 <= i < j <= n, lexicographically."""
     return [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
 
 
@@ -50,7 +51,7 @@ def bruhat_downsets(n: int) -> dict[tuple[int, ...], frozenset]:
     for w in elements:
         acc = {w}
         lw = brute_length(w)
-        for (a, b) in all_transp(n):
+        for (a, b) in all_transpositions(n):
             x = swap_positions(w, a, b)
             if brute_length(x) < lw:
                 acc |= down[x]
@@ -91,7 +92,7 @@ def interval_rank_counts(w: tuple[int, ...]) -> tuple[int, ...]:
         nxt = []
         for x in frontier:
             lx = brute_length(x)
-            for a, b in all_transp(len(w)):
+            for a, b in all_transpositions(len(w)):
                 y = swap_positions(x, a, b)
                 if brute_length(y) < lx and y not in seen:
                     seen.add(y)
@@ -130,11 +131,24 @@ def compatible_orders_brute(admissible_set, is_compatible) -> list[tuple]:
 
 # ------------------------------------ generic chain verifier and moves
 
+def reflection_leq(t: tuple[int, int], w: tuple[int, ...]) -> bool:
+    """T(i, j) <= w, read off bruhat.reflection_bounds(w)."""
+    from smoothchains.bruhat import reflection_bounds
+
+    i, j = t
+    if not 1 <= i < j <= len(w):
+        raise ValueError(f"T{t} does not fit in degree {len(w)}")
+    return j <= reflection_bounds(w)[i - 1]
+
+
 def c_t_by_filter(w: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     """Transpositions below w: every pair filtered through reflection_leq."""
-    from smoothchains.bruhat import reflection_leq
+    return frozenset(t for t in all_transpositions(len(w)) if reflection_leq(t, w))
 
-    return frozenset(t for t in all_transp(len(w)) if reflection_leq(t, w))
+
+def is_saturated_chain(chain) -> bool:
+    """Is every consecutive step of the chain a covering relation?"""
+    return first_noncover(chain) is None
 
 
 def first_noncover(chain) -> int | None:
@@ -206,7 +220,7 @@ def reference_moves(order) -> list[tuple]:
 def ground_labels(n: int) -> list[tuple]:
     """T(i, j), R(i, j, k) and L(i, j, k) labels of degree n, unsorted."""
     triples = itertools.combinations(range(1, n + 1), 3)
-    return [("T", i, j) for i, j in all_transp(n)] + [
+    return [("T", i, j) for i, j in all_transpositions(n)] + [
         (kind, i, j, k) for i, j, k in triples for kind in "RL"
     ]
 
@@ -266,6 +280,20 @@ def invert_labels(members: frozenset) -> frozenset:
     """Each label replaced by its inverse's: R and L swap, T stays."""
     flip = {"T": "T", "R": "L", "L": "R"}
     return frozenset((flip[e[0]], *e[1:]) for e in members)
+
+
+def element23_leq(elem: tuple, w: tuple[int, ...]) -> bool:
+    """Is the realized element below w in Bruhat order?  Membership in c23(w)."""
+    from smoothchains.admissible import c23, validate_element
+
+    return validate_element(elem, len(w)) in c23(w).members
+
+
+def member_texts(A) -> list[str]:
+    """The members of an AdmissibleSet as text, in its sorted order."""
+    from smoothchains.admissible import format_element
+
+    return [format_element(e) for e in A.sorted_members()]
 
 
 # ------------------------------------------------------------- type D

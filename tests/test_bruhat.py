@@ -6,24 +6,24 @@ import random
 import pytest
 
 from oracles import (
+    all_transpositions,
     bruhat_downsets,
     cover_pairs_oracle,
     first_noncover,
     interval_rank_counts,
+    is_saturated_chain,
+    reflection_leq,
 )
 from smoothchains.bruhat import (
     chain_text,
     chain_to_dot,
     is_cover,
-    is_saturated_chain,
     leq,
     rank_matrix,
     reflection_bounds,
-    reflection_leq,
     swap_covers,
 )
 from smoothchains.permutations import (
-    all_transpositions,
     all_windows,
     identity,
     length,

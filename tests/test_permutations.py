@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothchains.permutations as perm_mod
-from oracles import brute_length, contains_pattern_brute, swap_positions
+from oracles import all_transpositions, brute_length, contains_pattern_brute, swap_positions
 from smoothchains.permutations import (
-    all_transpositions,
     all_windows,
     compose,
     contains_pattern,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import doctest
+import functools
 import itertools
 import math
 
@@ -28,7 +29,7 @@ from oracles import (
     sp_inverse,
 )
 from smoothchains.admissible import c23, is_smooth_pattern
-from smoothchains.ordering_engine import is_compatible_order
+from smoothchains.ordering_engine import fold_orders, is_compatible_order
 from smoothchains.orders import enumerate_compatible_orders
 from smoothchains.permutations import all_windows, compose, identity
 from smoothchains.type_d import (
@@ -47,6 +48,7 @@ from smoothchains.type_d import (
     reflection_swap,
     reflection_window,
     root_poset_covers,
+    roots_and_pairs,
     root_text,
     simple_order_config,
     simple_rank,
@@ -438,6 +440,8 @@ def test_admissibility_violation_reports_closure():
     top = ("tt", parse_root("e2-e1", 3), parse_root("e3-e2", 3))
     v = admissibility_violation_d(group, frozenset([top]))
     assert v is not None and v.axiom == "closure"
+    # the witness names the least missing label below top
+    assert v.witness == (top, ("t", parse_root("e2-e1", 3)))
     assert "closure" in v.describe()
 
 
@@ -557,6 +561,80 @@ def test_check_element_fold_matches_listing_on_every_element(rank, wrong_product
         ), w
         wrong += not products_ok
     assert wrong == wrong_products
+
+
+@functools.lru_cache(maxsize=None)
+def uncapped_reports(rank):
+    group = weyl_group(rank)
+    return {w: check_element(group, w, None) for w in group.windows}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_mask_path_matches_label_set_path_on_every_element(rank):
+    # check_element reads w's labels off its downset bitmask; c23_below,
+    # summable_pairs and admissibility_violation_d read them off a set
+    group = weyl_group(rank)
+    for w, report in uncapped_reports(rank).items():
+        A = c23_below(group, w)
+        members = group.below[group.index[w]] & group.ground_mask
+        roots, pairs = roots_and_pairs(group, members)
+        assert roots == reflection_roots(A), w
+        assert pairs == list(summable_pairs(A, rank)), w
+        violation = admissibility_violation_d(group, A)
+        assert report.reflections == len(reflection_roots(A)), w
+        assert report.admissible == (violation is None), w
+        assert report.admissibility_note == (violation and violation.describe()), w
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_group_swap_table_matches_reflection_windows(rank):
+    group = weyl_group(rank)
+    assert list(group.swaps) == list(positive_roots(rank))
+    for alpha, swap in group.swaps.items():
+        assert swap == reflection_swap(reflection_window(alpha, rank)), alpha
+
+
+@pytest.mark.parametrize("rank, smooth_count", [(3, 22), (4, 108), (5, 490)])
+def test_conjecture_holds_exactly_on_the_smooth_elements(rank, smooth_count):
+    # the converse: with no cap, the check passes on no non-smooth element
+    group = weyl_group(rank)
+    reports = uncapped_reports(rank)
+    assert [w for w, e in reports.items() if e.ok != group.is_smooth(w)] == []
+    assert sum(e.ok for e in reports.values()) == smooth_count
+
+
+@pytest.mark.parametrize("rank, total", [(3, 54), (4, 3305), (5, 13210910)])
+def test_compatible_orders_walk_saturated_chains_from_both_ends(rank, total):
+    # the paper's strengthening: along every compatible order of a smooth
+    # w, each prefix product x rises one length step, l(x t) = l(x) + 1,
+    # and w^-1 x falls one, l(w^-1 x t) + 1 = l(w^-1 x); so the prefixes
+    # walk a saturated chain from e up to w and the suffixes one down
+    # from w.  The fold carries (x, w^-1 x, prefix ok, suffix ok).
+    group = weyl_group(rank)
+    ell = group.length_of
+
+    def step(state, alpha):
+        x, y, prefix_ok, suffix_ok = state
+        t = reflection_window(alpha, rank)
+        xt, yt = compose(x, t), compose(y, t)
+        return (
+            xt,
+            yt,
+            prefix_ok and ell(xt) == ell(x) + 1,
+            suffix_ok and ell(yt) + 1 == ell(y),
+        )
+
+    orders = 0
+    for w in smooth_elements(rank):
+        A = c23_below(group, w)
+        start = (identity(rank), sp_inverse(w), True, True)
+        products = fold_orders(
+            reflection_roots(A), summable_pairs(A, rank), None, step, start
+        )
+        assert products, w
+        assert all(x == w and up and down for x, _, up, down in products), w
+        orders += sum(products.values())
+    assert orders == total
 
 
 def test_sharp_non_smooth_d4_element_has_no_compatible_order():
