@@ -17,14 +17,18 @@ Neither or both products without mid make the rule unsatisfiable; on
 admissible sets this never happens.  ``is_compatible_order`` checks the
 rule on one arrangement.  ``_placement_rule`` compiles the pairs once
 into one step function, next_steps(placed), which lists the items that
-may be placed next:
+may be placed next.  Each item keeps (mask, pattern) entries over the
+bitmask of placed items and may not be placed while placed & mask ==
+pattern for one of them.  With P an item's own bit and A, B, M those
+of a, b and mid:
 
-  * an item must wait for every item the rule puts before it (a pair
-    without mid puts one end before the other, or both ends before each
-    other when the rule is unsatisfiable);
-  * a mid can be placed only when exactly one end of its pair is down;
-  * an end can be placed while the other end is down only if the mid
-    is down too.
+  * every item gets (P, P), so it is placed once;
+  * a pair without mid gives the end put second (A, 0) or (B, 0), to
+    wait for the other end, and both ends when it is unsatisfiable;
+  * a pair with mid gives mid (A|B, 0), to wait for one end, and gives
+    a (B|M, B) and b (A|M, A): an end waits while the other end is down
+    and mid is not.  Both ends down without mid then cannot be reached,
+    since the second end waits for mid, so mid needs no entry for it.
 
 Every prefix built this way extends to the rule consistently, so a
 completed arrangement is compatible and no final filtering pass is
@@ -135,54 +139,43 @@ def _placement_rule(
     """The item count, and next_steps(placed) over index bitmasks.
 
     next_steps lists (bit, item), in sorted item order, for each item
-    outside placed that the placement rules of the module docstring
-    allow next.  Pairs naming unknown or repeated items are rejected.
+    that no (mask, pattern) entry of the module docstring holds back.  Pairs naming unknown or repeated items are rejected.
     """
     ordered = sorted(set(items))
     k = len(ordered)
     pos = {item: p for p, item in enumerate(ordered)}
 
-    need_before = [0] * k  # bitmask of items that must precede item p
-    # For each item, the roles it plays in pairs with a mid: ("mid", a, b)
-    # or ("end", other_end, mid), all as indices.
-    roles: list[list[tuple[str, int, int]]] = [[] for _ in range(k)]
+    # the (mask, pattern) entries of the module docstring, item by item
+    forbidden: list[list[tuple[int, int]]] = [[(1 << p, 1 << p)] for p in range(k)]
     for a, b, mid, ab, ba in pairs:
         named = (a, b) if mid is None else (a, b, mid)
         if any(x not in pos for x in named):
             raise ValueError(f"pair {named!r} names unknown items")
         if len(set(named)) != len(named):
             raise ValueError(f"pair {named!r} repeats an item")
-        ia, ib = pos[a], pos[b]
+        A, B = 1 << pos[a], 1 << pos[b]
         if mid is not None:
-            im = pos[mid]
-            roles[im].append(("mid", ia, ib))
-            roles[ia].append(("end", ib, im))
-            roles[ib].append(("end", ia, im))
+            M = 1 << pos[mid]
+            forbidden[pos[mid]].append((A | B, 0))
+            forbidden[pos[a]].append((B | M, B))
+            forbidden[pos[b]].append((A | M, A))
             continue
         if ab or not ba:
-            need_before[ib] |= 1 << ia
+            forbidden[pos[b]].append((A, 0))
         if ba or not ab:
-            need_before[ia] |= 1 << ib
+            forbidden[pos[a]].append((B, 0))
 
-    def placeable(p: int, placed: int) -> bool:
-        if need_before[p] & ~placed:
-            return False
-        for role, x, y in roles[p]:
-            if role == "mid":
-                if ((placed >> x) & 1) == ((placed >> y) & 1):
-                    return False
-            else:  # end: x is the other end, y the middle
-                if (placed >> x) & 1 and not (placed >> y) & 1:
-                    return False
-        return True
-
-    steps = [(p, 1 << p, item) for p, item in enumerate(ordered)]
+    steps = [(1 << p, item, forbidden[p]) for p, item in enumerate(ordered)]
 
     def next_steps(placed: int) -> list[tuple[int, Item]]:
-        return [
-            (bit, item) for p, bit, item in steps
-            if not placed & bit and placeable(p, placed)
-        ]
+        allowed = []
+        for bit, item, rules in steps:
+            for mask, pattern in rules:
+                if placed & mask == pattern:
+                    break
+            else:
+                allowed.append((bit, item))
+        return allowed
 
     return k, next_steps
 

@@ -11,20 +11,20 @@ which in this simply laced type is smoothness), the set of reflections
 and ordered two-reflection products below w is admissible, admits a
 compatible arrangement of its reflections, and every compatible
 arrangement multiplies back to w.  The summable root pairs of a set
-(summable_pairs, filtered from a table built once per rank) are all
-this module hands ordering_engine, whose pair rule is compatibility;
-the two pair axioms of admissibility are read off the same pairs.  The
-product axiom is the same-decomposition rule: t_a t_b and t_b t_a both
-in A force t_{a+b}.  (Type A's cycle-pair axiom is the
-cross-decomposition rule; its type D analogue fails on smooth elements
-of rank 4.)
+(roots_and_pairs, bit tests of its id mask against a table built once
+per rank) are all this module hands ordering_engine, whose pair rule
+is compatibility; the two pair axioms of admissibility are read off
+the same pairs.  The product axiom is the same-decomposition rule:
+t_a t_b and t_b t_a both in A force t_{a+b}.  (Type A's cycle-pair
+axiom is the cross-decomposition rule; its type D analogue fails on
+smooth elements of rank 4.)
 
 check_element builds no label set and lists no arrangement: it reads
 its roots and pairs off w's downset bitmask (roots_and_pairs) and
 folds the prefix products over the sets of placed reflections
 (fold_orders), each step x * t_alpha a swap from the group's table
-(times_swap).  c23_below and enumerate_compatible_orders_d remain as
-the label-set and listing references.
+(times_swap).  admissibility_violation_d and enumerate_compatible_orders_d
+read a label set, such as c23_below's, through its id mask (label_mask).
 """
 
 from __future__ import annotations
@@ -259,7 +259,11 @@ class WeylGroupD:
     @cached_property
     def ground_mask(self) -> int:
         """The ids of all labels, as one bitmask."""
-        return sum(1 << i for i in self.label_ids.values())
+        return self.label_mask(self.label_ids)
+
+    def label_mask(self, A) -> int:
+        """The ids of the labels in A, as one bitmask."""
+        return sum(1 << self.label_ids[lab] for lab in A)
 
     @cached_property
     def label_tables(self) -> tuple[tuple, tuple, tuple]:
@@ -363,9 +367,8 @@ def admissibility_violation_d(
 ) -> AdmissibilityViolationD | None:
     """First failed axiom of the conjectured admissibility, or None;
     _first_violation on A's label ids and summable pairs."""
-    ids = group.label_ids
-    members = sum(1 << ids[lab] for lab in A)
-    return _first_violation(group, members, list(summable_pairs(A, group.rank)))
+    members = group.label_mask(A)
+    return _first_violation(group, members, roots_and_pairs(group, members)[1])
 
 
 def _first_violation(group: WeylGroupD, members: int, pairs: list) -> AdmissibilityViolationD | None:
@@ -396,8 +399,8 @@ def _first_violation(group: WeylGroupD, members: int, pairs: list) -> Admissibil
 
 
 def roots_and_pairs(group: WeylGroupD, members: int) -> tuple[tuple[Root, ...], list]:
-    """reflection_roots and list(summable_pairs) of the labels whose ids
-    are set in members, by bit tests against group.label_tables."""
+    """The sorted member roots and their summable pairs, as ordering_engine
+    takes them, of the labels whose ids are set in members."""
     reflections, rows, _ = group.label_tables
     present = {i for _, i in reflections if members >> i & 1}
     roots = tuple(a for a, i in reflections if i in present)
@@ -412,29 +415,12 @@ def roots_and_pairs(group: WeylGroupD, members: int) -> tuple[tuple[Root, ...], 
 
 # ------------------------------------------------- compatible arrangements
 
-def reflection_roots(A: frozenset[Label]) -> tuple[Root, ...]:
-    return tuple(sorted(lab[1] for lab in A if lab[0] == "t"))
-
-
-def summable_pairs(A: frozenset[Label], n: int):
-    """The summable pairs of A for the pair rule in ordering_engine.
-
-    Yields (a, b, a + b or None, t_a t_b in A, t_b t_a in A) for each
-    pair of reflection roots of A, in combinations order, whose sum is
-    a positive root; the sum is given when its reflection is a member.
-    Filters the rank's table, so no root arithmetic runs per set.
-    """
-    for a, b, gamma, ta, tb, tgamma, tab, tba in _summable_root_pairs(n):
-        if ta in A and tb in A:
-            yield a, b, gamma if tgamma in A else None, tab in A, tba in A
-
-
 def enumerate_compatible_orders_d(
+    group: WeylGroupD,
     A: frozenset[Label],
-    n: int,
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
 ) -> list[tuple[Root, ...]]:
-    return capped_orders(reflection_roots(A), summable_pairs(A, n), max_reflections)
+    return capped_orders(*roots_and_pairs(group, group.label_mask(A)), max_reflections)
 
 
 def product_of_root_order(order: tuple[Root, ...], n: int) -> SignedWindow:

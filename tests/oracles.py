@@ -371,14 +371,20 @@ def length_by_roots(w: tuple[int, ...]) -> int:
     )
 
 
+def d_member_roots(A) -> tuple[tuple[int, ...], ...]:
+    """The roots of A's ("t", alpha) labels, sorted."""
+    return tuple(sorted(lab[1] for lab in A if lab[0] == "t"))
+
+
 def d_summable_pairs_by_combinations(A, n: int) -> list[tuple]:
-    """summable_pairs from every two-element combination of A's
-    reflection roots, summed with tuple_add, rather than the rank table."""
-    from smoothchains.type_d import positive_roots, reflection_roots, tuple_add
+    """The summable pairs (a, b, mid, ab, ba) of a label set, from every
+    two-element combination of its member roots, summed coordinatewise,
+    rather than from the rank table that type_d.roots_and_pairs filters."""
+    from smoothchains.type_d import positive_roots
 
     out = []
-    for a, b in itertools.combinations(reflection_roots(A), 2):
-        gamma = tuple_add(a, b)
+    for a, b in itertools.combinations(d_member_roots(A), 2):
+        gamma = tuple(x + y for x, y in zip(a, b))
         if gamma in positive_roots(n):
             mid = gamma if ("t", gamma) in A else None
             out.append((a, b, mid, ("tt", a, b) in A, ("tt", b, a) in A))
@@ -509,7 +515,7 @@ def d_admissibility_violation_by_labels(group, A, cross_pair_products=False):
     comparison, even when they decompose gamma differently; rank 4
     refutes that variant on smooth elements.
     """
-    from smoothchains.type_d import summable_pairs, tuple_add
+    from smoothchains.type_d import tuple_add
 
     for lab in sorted(A):
         missing = d_label_ideals(group)[lab] - A
@@ -531,7 +537,7 @@ def d_admissibility_violation_by_labels(group, A, cross_pair_products=False):
             gamma = tuple_add(a, b)
             if a < b and ("tt", b, a) in A and ("t", gamma) not in A:
                 return ("product-pair", (lab, ("tt", b, a), ("t", gamma)))
-    for a, b, _, ab, ba in summable_pairs(A, group.rank):
+    for a, b, _, ab, ba in d_summable_pairs_by_combinations(A, group.rank):
         if not ab and not ba:
             return ("reflection-pair", (("t", a), ("t", b)))
     return None

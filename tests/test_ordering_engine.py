@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from smoothchains.admissible import c23, is_smooth_pattern, reflection_pairs
+from oracles import d_label_ideals, ground_ideals
+from smoothchains.admissible import c23, is_smooth_pattern, make_set, reflection_pairs
 from smoothchains.ordering_engine import (
     capped_orders,
     fold_orders,
@@ -13,9 +14,10 @@ from smoothchains.ordering_engine import (
 from smoothchains.permutations import all_windows, compose, identity, times_transposition
 from smoothchains.type_d import (
     c23_below,
+    c23_labels,
     enumerate_compatible_orders_d,
-    reflection_roots,
     reflection_window,
+    roots_and_pairs,
     smooth_elements,
     weyl_group,
 )
@@ -23,6 +25,10 @@ from smoothchains.type_d import (
 
 def _append(prefix, item):
     return prefix + (item,)
+
+
+def _checked_permutations(items, pairs):
+    return [p for p in permutations(sorted(items)) if is_compatible_order(p, items, pairs)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -36,11 +42,34 @@ def test_listing_is_the_checked_permutations_in_order(n):
         items, pairs = A.reflections, list(reflection_pairs(A))
         if len(items) > 7:
             continue
-        expect = [
-            p for p in permutations(sorted(items))
-            if is_compatible_order(p, items, pairs)
-        ]
-        assert capped_orders(items, pairs, None) == expect, w
+        assert capped_orders(items, pairs, None) == _checked_permutations(items, pairs), w
+
+
+@pytest.mark.parametrize("n, checked", [(4, 66), (5, 676)])
+def test_listing_is_the_checked_permutations_on_every_type_a_ideal(n, checked):
+    # admissible or not (44 of the 66 S4 ideals are not), on every ideal
+    # with at most six reflections: pairs may be unsatisfiable or
+    # placements blocked, and the compiled rule must still give exactly
+    # the arrangements the pair rule allows
+    found = 0
+    for I in ground_ideals(n):
+        A = make_set(n, I)
+        items, pairs = A.reflections, list(reflection_pairs(A))
+        if len(items) > 6:
+            continue
+        assert capped_orders(items, pairs, None) == _checked_permutations(items, pairs), I
+        found += 1
+    assert found == checked
+
+
+def test_listing_is_the_checked_permutations_on_unions_of_two_d3_ideals():
+    group = weyl_group(3)
+    ideals = d_label_ideals(group)
+    sets = [ideals[a] | ideals[b] for a, b in combinations(c23_labels(3), 2)]
+    assert len(sets) == 91
+    for A in sets:
+        roots, pairs = roots_and_pairs(group, group.label_mask(A))
+        assert capped_orders(roots, pairs, None) == _checked_permutations(roots, pairs), A
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -100,9 +129,10 @@ def test_the_placed_set_alone_determines_the_prefix_product():
     group, arranged = weyl_group(4), 0
     for w in smooth_elements(4):
         A = c23_below(group, w)
-        listed = enumerate_compatible_orders_d(A, 4, None)
+        listed = enumerate_compatible_orders_d(group, A, None)
         arranged += len(listed)
-        t = {alpha: reflection_window(alpha, 4) for alpha in reflection_roots(A)}
+        roots, _ = roots_and_pairs(group, group.label_mask(A))
+        t = {alpha: reflection_window(alpha, 4) for alpha in roots}
         found = _products_by_placed_set(listed, lambda x, a: compose(x, t[a]), identity(4))
         assert all(len(xs) == 1 for xs in found.values()), w
     assert arranged == 3305

@@ -45,6 +45,7 @@ from smoothchains.orders import (
 )
 from smoothchains.permutations import (
     all_windows,
+    compose,
     identity,
     inverse,
     parse,
@@ -317,6 +318,19 @@ def test_order_verdicts_over_smooth_s6_at_cap_15():
     for w in smooth_windows(6):
         total.update(order_verdicts(w, 15))
     assert total == {ALL_OK: 365926}
+
+
+@pytest.mark.parametrize("n, smooth", [(2, 2), (3, 6), (4, 22), (5, 88), (6, 366)])
+def test_order_count_is_invariant_under_inverse_and_w0_conjugation(n, smooth):
+    # w -> w^-1 and w -> w0 w w0 preserve Bruhat order and smoothness,
+    # and carry the reflections below w onto those below the image, so a
+    # smooth w and its images have as many compatible orders
+    w0 = tuple(range(n, 0, -1))
+    counts = {w: sum(order_verdicts(w, None).values()) for w in smooth_windows(n)}
+    assert len(counts) == smooth
+    for w, count in counts.items():
+        assert counts[inverse(w)] == count, w
+        assert counts[compose(w0, compose(w, w0))] == count, w
 
 
 @pytest.mark.slow

@@ -19,6 +19,7 @@ from oracles import (
     d_downsets,
     d_label_ideals,
     d_leq,
+    d_member_roots,
     d_reduced_word_counts,
     d_summable_pairs_by_combinations,
     is_positive_root,
@@ -44,7 +45,6 @@ from smoothchains.type_d import (
     positive_roots,
     product_of_root_order,
     realize_label,
-    reflection_roots,
     reflection_swap,
     reflection_window,
     root_poset_covers,
@@ -56,7 +56,6 @@ from smoothchains.type_d import (
     smooth_elements,
     sp_parse,
     sp_text,
-    summable_pairs,
     times_swap,
     tuple_add,
     validate_signed_window,
@@ -391,7 +390,7 @@ def test_embedded_smooth_s4_elements_match_type_a_order_counts():
             assert report.ok, w
             assert report.orders_found == len(type_a), w
             A = c23_below(group, embedded)
-            assert set(enumerate_compatible_orders_d(A, n)) == type_a, w
+            assert set(enumerate_compatible_orders_d(group, A)) == type_a, w
             total += len(type_a)
         assert total == expected_total
 
@@ -483,11 +482,11 @@ def test_compatible_orders_verify_products_on_d3():
         if not group.is_smooth(w):
             continue
         A = c23_below(group, w)
-        orders = enumerate_compatible_orders_d(A, n)
+        orders = enumerate_compatible_orders_d(group, A)
         assert orders, w
+        roots, pairs = roots_and_pairs(group, group.label_mask(A))
         for order in orders:
-            pairs = summable_pairs(A, n)
-            assert is_compatible_order(order, reflection_roots(A), pairs)
+            assert is_compatible_order(order, roots, pairs)
             assert product_of_root_order(order, n) == w
 
 
@@ -496,24 +495,25 @@ def test_summable_pairs_match_combinations_of_member_roots(rank):
     group = weyl_group(rank)
     for w in group.windows:
         A = c23_below(group, w)
-        assert list(summable_pairs(A, rank)) == d_summable_pairs_by_combinations(A, rank), w
+        roots, pairs = roots_and_pairs(group, group.label_mask(A))
+        assert roots == d_member_roots(A), w
+        assert pairs == d_summable_pairs_by_combinations(A, rank), w
 
 
 def test_is_compatible_d_validates_membership():
     group = weyl_group(3)
     A = c23_below(group, (-2, -1, 3))
+    roots, pairs = roots_and_pairs(group, group.label_mask(A))
     with pytest.raises(ValueError):
-        is_compatible_order(
-            (parse_root("e3-e1", 3),), reflection_roots(A), summable_pairs(A, 3)
-        )
+        is_compatible_order((parse_root("e3-e1", 3),), roots, pairs)
 
 
 def test_enumeration_cap_d():
     group = weyl_group(4)
     A = c23_below(group, (-1, -2, -3, -4))
     with pytest.raises(ValueError, match="cap"):
-        enumerate_compatible_orders_d(A, 4, max_reflections=10)
-    assert len(reflection_roots(A)) == 12
+        enumerate_compatible_orders_d(group, A, max_reflections=10)
+    assert len(roots_and_pairs(group, group.label_mask(A))[0]) == 12
 
 
 # ---------------------------------------------------------- conjecture
@@ -552,7 +552,7 @@ def test_check_element_fold_matches_listing_on_every_element(rank, wrong_product
     group = weyl_group(rank)
     wrong = 0
     for w in group.windows:
-        orders = enumerate_compatible_orders_d(c23_below(group, w), rank)
+        orders = enumerate_compatible_orders_d(group, c23_below(group, w))
         products_ok = all(product_of_root_order(o, rank) == w for o in orders)
         report = check_element(group, w)
         assert (report.orders_found, report.products_ok) == (
@@ -571,17 +571,18 @@ def uncapped_reports(rank):
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
 def test_mask_path_matches_label_set_path_on_every_element(rank):
-    # check_element reads w's labels off its downset bitmask; c23_below,
-    # summable_pairs and admissibility_violation_d read them off a set
+    # check_element reads w's labels off its downset bitmask; the oracles
+    # read roots and pairs off c23_below's label set, and
+    # admissibility_violation_d takes that set through its id mask
     group = weyl_group(rank)
     for w, report in uncapped_reports(rank).items():
         A = c23_below(group, w)
         members = group.below[group.index[w]] & group.ground_mask
         roots, pairs = roots_and_pairs(group, members)
-        assert roots == reflection_roots(A), w
-        assert pairs == list(summable_pairs(A, rank)), w
+        assert roots == d_member_roots(A), w
+        assert pairs == d_summable_pairs_by_combinations(A, rank), w
         violation = admissibility_violation_d(group, A)
-        assert report.reflections == len(reflection_roots(A)), w
+        assert report.reflections == len(roots), w
         assert report.admissible == (violation is None), w
         assert report.admissibility_note == (violation and violation.describe()), w
 
@@ -601,6 +602,25 @@ def test_conjecture_holds_exactly_on_the_smooth_elements(rank, smooth_count):
     reports = uncapped_reports(rank)
     assert [w for w, e in reports.items() if e.ok != group.is_smooth(w)] == []
     assert sum(e.ok for e in reports.values()) == smooth_count
+
+
+@pytest.mark.parametrize("rank, smooth_count", [(3, 22), (4, 108), (5, 490)])
+def test_order_count_is_invariant_under_the_group_symmetries(rank, smooth_count):
+    # inversion, conjugation by w0, and conjugation by c, which negates
+    # coordinate 1 (the diagram automorphism swapping e2-e1 and e2+e1),
+    # preserve Bruhat order and smoothness, so a smooth w and its images
+    # have as many compatible orders
+    group = weyl_group(rank)
+    w0 = group.windows[-1]
+    c = (-1,) + identity(rank)[1:]
+    counts = {
+        w: e.orders_found for w, e in uncapped_reports(rank).items() if group.is_smooth(w)
+    }
+    assert len(counts) == smooth_count
+    for w, count in counts.items():
+        assert counts[sp_inverse(w)] == count, w
+        assert counts[compose(w0, compose(w, w0))] == count, w
+        assert counts[compose(c, compose(w, c))] == count, w
 
 
 @pytest.mark.parametrize("rank, total", [(3, 54), (4, 3305), (5, 13210910)])
@@ -628,9 +648,8 @@ def test_compatible_orders_walk_saturated_chains_from_both_ends(rank, total):
     for w in smooth_elements(rank):
         A = c23_below(group, w)
         start = (identity(rank), sp_inverse(w), True, True)
-        products = fold_orders(
-            reflection_roots(A), summable_pairs(A, rank), None, step, start
-        )
+        roots, pairs = roots_and_pairs(group, group.label_mask(A))
+        products = fold_orders(roots, pairs, None, step, start)
         assert products, w
         assert all(x == w and up and down for x, _, up, down in products), w
         orders += sum(products.values())
@@ -646,7 +665,7 @@ def test_sharp_non_smooth_d4_element_has_no_compatible_order():
     sharp = [
         w for w in group.windows
         if not group.is_smooth(w)
-        and len(reflection_roots(c23_below(group, w))) == group.length_of(w)
+        and len(roots_and_pairs(group, group.below[group.index[w]])[0]) == group.length_of(w)
     ]
     w = (-1, -3, -2, -4)
     assert sharp == [w] and group.length_of(w) == 11
