@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .permutations import Window, format_window, inverse, mu
+from .permutations import Window, format_window, inverse
 
 
 def rank_matrix(w: Window) -> tuple[tuple[int, ...], ...]:
@@ -66,10 +66,19 @@ def reflection_bounds(w: Window) -> tuple[int, ...]:
     i (1-based) is min(max w(1..i), max w^{-1}(1..i)), so T(i, j) <= w
     iff i < j <= entry i.  Every entry is at least i.
 
+    One pass over w and w^{-1} keeps both running maxima.
+
     >>> reflection_bounds((3, 1, 2))
     (2, 3, 3)
     """
-    return bounds_from_maxima(mu(w), mu(inverse(w)))
+    bounds, top, top_inverse = [], 0, 0
+    for v, u in zip(w, inverse(w)):
+        if v > top:
+            top = v
+        if u > top_inverse:
+            top_inverse = u
+        bounds.append(top if top < top_inverse else top_inverse)
+    return tuple(bounds)
 
 
 def bounds_from_maxima(m: Sequence[int], mi: Sequence[int]) -> tuple[int, ...]:

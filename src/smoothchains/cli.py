@@ -36,10 +36,11 @@ from .admissible import (
 from .bruhat import chain_to_dot
 from .orders import (
     DEFAULT_MAX_REFLECTIONS,
-    connected_by_moves,
     construct_compatible_order,
     construct_for_set,
+    count_compatible_orders,
     enumerate_compatible_orders,
+    graph_connected,
     is_compatible,
     order_graph,
     order_graph_dot,
@@ -283,10 +284,11 @@ def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
 
 
 def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
-    orders = enumerate_compatible_orders(c23(w), cap)
-    if connected_by_moves(orders):
-        return {"orders": len(orders)}, []
-    return {"orders": len(orders)}, [dict(window=format_window(w), kind="graph-disconnected")]
+    A = c23(w)
+    count = count_compatible_orders(A, cap)
+    if graph_connected(A, cap):
+        return {"orders": count}, []
+    return {"orders": count}, [dict(window=format_window(w), kind="graph-disconnected")]
 
 
 def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
@@ -305,7 +307,18 @@ def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
 
 
 def _smooth_windows(n: int) -> list[Window]:
-    return [w for w in all_windows(n) if is_smooth_pattern(w)]
+    """The smooth windows of degree n, in all_windows order.
+
+    Deleting the value k from a window avoiding 3412 and 4231 leaves
+    one avoiding them, so each smooth window of degree k is the value k
+    inserted into a smooth window of degree k - 1; is_smooth_pattern
+    filters those candidates, level by level.
+    """
+    level = [()]
+    for k in range(1, n + 1):
+        candidates = (w[:p] + (k,) + w[p:] for w in level for p in range(k))
+        level = [c for c in candidates if is_smooth_pattern(c)]
+    return sorted(level)
 
 
 class SweepMode(NamedTuple):

@@ -45,8 +45,16 @@ paths and returns each product of a compatible arrangement with its
 number of arrangements (linear-extension counting over the lattice of
 ideals, De Loof, De Meyer and De Baets 2006).  The type D conjecture
 check and the type A order verdicts (orders.order_verdicts) use it;
-order listing, move-graph connectivity and enumerate_compatible_orders_d
-still list.
+order listing and enumerate_compatible_orders_d still list.
+
+The move graph joins two compatible arrangements that differ by one
+move: swap two adjacent items that commute (a rule the caller gives),
+or reverse three consecutive items a, mid, b of a pair with mid.
+``moves_connected`` certifies it connected from squares and hexagons
+at each placed set, the local confluence behind Tits' word property
+and the connectivity of the higher Bruhat order B(n, 2) (Manin and
+Schechtman 1989), without listing; it may leave a connected graph
+undecided, never a disconnected one certified.
 """
 
 from __future__ import annotations
@@ -119,9 +127,9 @@ def fold_orders(
     window with the verdicts of the steps so far.  Returns {} when no
     arrangement is compatible.  The cap is that of capped_orders.
     """
-    k, next_steps = _placement_rule(_capped(items, max_items), pairs)
+    bits, next_steps = _placement_rule(_capped(items, max_items), pairs)
     layer = {0: {start: 1}}
-    for _ in range(k):
+    for _ in bits:
         nxt: dict[int, dict[Product, int]] = {}
         for placed, products in layer.items():
             for bit, item in next_steps(placed):
@@ -130,16 +138,125 @@ def fold_orders(
                     y = step(x, item)
                     target[y] = target.get(y, 0) + count
         layer = nxt
-    return layer.get((1 << k) - 1, {})
+    return layer.get((1 << len(bits)) - 1, {})
+
+
+def moves_connected(
+    items: Iterable[Item],
+    pairs: Iterable[Pair],
+    max_items: int | None,
+    commute: Callable[[Item, Item], bool],
+) -> bool:
+    """A certificate that moves join all compatible arrangements.
+
+    The moves are those of the module docstring's move graph: swap two
+    adjacent items that commute, or reverse a, mid, b for a pair with
+    mid.  True means the graph is connected.  False means undecided:
+    the local joins below did not suffice, and the graph may still be
+    connected.  No arrangement is listed.  The cap is that of
+    capped_orders.
+
+    A placed set is live when it extends to the full set.  At each live
+    set S, two first steps a and b toward live sets are joined by a
+    square, when a and b commute, a b and b a are both placed from S
+    and S + a + b is live, or by a hexagon, for a pair (a, b, mid) with
+    a mid b and b mid a both placed from S and S + a + b + mid live.
+    A square gives arrangements S a b ... and S b a ... one move apart,
+    a hexagon S a mid b ... and S b mid a ....  If the joins connect
+    the first steps at every live set, then by induction on the
+    unplaced items every two completions of S are joined by moves, so
+    at the empty set every two arrangements are.
+    """
+    pairs = list(pairs)
+    bits, next_steps = _placement_rule(_capped(items, max_items), pairs)
+    full = (1 << len(bits)) - 1
+    # enabled[S]: mask of the items next_steps allows at each reachable S
+    enabled: dict[int, int] = {}
+    layers = [[0]]
+    for _ in range(len(bits) + 1):
+        reached: dict[int, None] = {}
+        for placed in layers[-1]:
+            mask = 0
+            for bit, _ in next_steps(placed):
+                mask |= bit
+                reached[placed | bit] = None
+            enabled[placed] = mask
+        layers.append(list(reached))
+    # live[S]: mask of the first steps from a live S into live sets
+    live = {full: 0} if full in enabled else {}
+    for layer in reversed(layers):
+        for placed in layer:
+            steps = 0
+            for bit in _bits_of(enabled[placed]):
+                if placed | bit in live:
+                    steps |= bit
+            if steps:
+                live[placed] = steps
+    commuting = {
+        bit: sum(other for y, other in bits.items() if commute(x, y))
+        for x, bit in bits.items()
+    }
+    hexagons = [
+        (bits[a], bits[b], bits[mid]) for a, b, mid, _, _ in pairs if mid is not None
+    ]
+    for placed, steps in live.items():
+        if not steps & (steps - 1):  # at most one first step
+            continue
+        joins = []
+        for a in _bits_of(steps):
+            for b in _bits_of(steps & commuting[a] & ~(2 * a - 1)):
+                if enabled[placed | a] & b and enabled[placed | b] & a and (
+                    placed | a | b in live
+                ):
+                    joins.append(a | b)
+        for a, b, mid in hexagons:
+            if (
+                steps & a
+                and steps & b
+                and enabled[placed | a] & mid
+                and enabled[placed | a | mid] & b
+                and enabled[placed | b] & mid
+                and enabled[placed | b | mid] & a
+                and placed | a | b | mid in live
+            ):
+                joins.append(a | b)
+        if not _joined(steps, joins):
+            return False
+    return True
+
+
+def _bits_of(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _joined(steps: int, joins: list[int]) -> bool:
+    """Do the joins (two-bit masks) connect every bit of steps?"""
+    reached = steps & -steps
+    grew = True
+    while grew:
+        grew = False
+        for join in joins:
+            if reached & join and join & ~reached:
+                reached |= join
+                grew = True
+    return reached == steps
 
 
 def _placement_rule(
     items: Iterable[Item], pairs: Iterable[Pair]
-) -> tuple[int, Callable[[int], list[tuple[int, Item]]]]:
-    """The item count, and next_steps(placed) over index bitmasks.
+) -> tuple[dict[Item, int], Callable[[int], list[tuple[int, Item]]]]:
+    """Each item's bit, and next_steps(placed) over index bitmasks.
 
-    next_steps lists (bit, item), in sorted item order, for each item
-    that no (mask, pattern) entry of the module docstring holds back.  Pairs naming unknown or repeated items are rejected.
+    Bits follow sorted item order.  next_steps lists (bit, item), in
+    that order, for each item that no (mask, pattern) entry of the
+    module docstring holds back.  Pairs naming unknown or repeated
+    items are rejected.
     """
     ordered = sorted(set(items))
     k = len(ordered)
@@ -177,7 +294,7 @@ def _placement_rule(
                 allowed.append((bit, item))
         return allowed
 
-    return k, next_steps
+    return {item: 1 << p for p, item in enumerate(ordered)}, next_steps
 
 
 def constrained_orders(
@@ -190,9 +307,9 @@ def constrained_orders(
     under a cache that lives for this call.  Unsatisfiable pairs give
     an empty list.  Pairs naming unknown items are rejected.
     """
-    k, next_steps = _placement_rule(items, pairs)
+    bits, next_steps = _placement_rule(items, pairs)
     listed: list[tuple[Item, ...]] = []
-    _extend(functools.cache(next_steps), (1 << k) - 1, 0, (), listed)
+    _extend(functools.cache(next_steps), (1 << len(bits)) - 1, 0, (), listed)
     return listed
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from . import bruhat
@@ -46,7 +47,12 @@ from .admissible import (
     reflection_pairs,
     smoothness_witness,
 )
-from .ordering_engine import capped_orders, fold_orders, is_compatible_order
+from .ordering_engine import (
+    capped_orders,
+    fold_orders,
+    is_compatible_order,
+    moves_connected,
+)
 from .permutations import (
     Transposition,
     Window,
@@ -129,18 +135,29 @@ class Verdict(NamedTuple):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Product and chain checks for one arrangement against one window."""
+    """Product and chain checks for one arrangement against one window.
+
+    The chains are built from the order when first read.
+    """
 
     window: Window
     order: ReflectionOrder
     product: Window
-    prefix_chain: tuple[Window, ...]
-    suffix_chain: tuple[Window, ...]
     product_ok: bool
     prefix_saturated: bool
     suffix_saturated: bool
     prefix_first_break: int | None
     suffix_first_break: int | None
+
+    @cached_property
+    def prefix_chain(self) -> tuple[Window, ...]:
+        """e, e * t1, e * t1 * t2, ... along the order."""
+        return _chain(len(self.window), self.order)
+
+    @cached_property
+    def suffix_chain(self) -> tuple[Window, ...]:
+        """The prefix chain of the reversed order."""
+        return _chain(len(self.window), self.order[::-1])
 
     @property
     def verdict(self) -> Verdict:
@@ -148,7 +165,7 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(self.verdict)
+        return self.product_ok and self.prefix_saturated and self.suffix_saturated
 
     def to_dict(self) -> dict:
         return {
@@ -165,6 +182,9 @@ class VerificationReport:
         }
 
 
+_MISMATCH = "arrangement does not match the reflections below w"
+
+
 def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     """Check the product identity and both saturated chains.
 
@@ -174,32 +194,47 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     from the identity; the suffix chain does the same on the reversed
     word, so it ends at w^{-1} whenever the product comes out to w.
     Each step is decided by the step-cover rule of the module
-    docstring.
+    docstring.  Each chain is walked in place on one list, keeping
+    only its end and first break; the report builds the chains
+    themselves when they are read.
     """
     n = len(w)
     bounds = bruhat.reflection_bounds(w)
-    if (
-        len(set(order)) != len(order)
-        # |c_t(w)|: entry i of bounds admits j = i+1..entry
-        or len(order) != sum(bounds) - n * (n + 1) // 2
-        or not all(1 <= i < j <= n and j <= bounds[i - 1] for i, j in order)
-    ):
-        raise ValueError("arrangement does not match the reflections below w")
-    prefix, prefix_break = _chain(n, order)
-    suffix, suffix_break = _chain(n, reversed(order))
-    product = prefix[-1]
+    order = tuple(order)
+    # |c_t(w)|: entry i of bounds admits j = i+1..entry
+    if len(set(order)) != len(order) or len(order) != sum(bounds) - n * (n + 1) // 2:
+        raise ValueError(_MISMATCH)
+    for i, j in order:
+        if not 1 <= i < j <= n or j > bounds[i - 1]:
+            raise ValueError(_MISMATCH)
+    covers = bruhat.swap_covers
+    product, prefix_break = _walk(n, order, covers)
+    _, suffix_break = _walk(n, order[::-1], covers)
     return VerificationReport(
         window=w,
-        order=tuple(order),
+        order=order,
         product=product,
-        prefix_chain=prefix,
-        suffix_chain=suffix,
         product_ok=product == w,
         prefix_saturated=prefix_break is None,
         suffix_saturated=suffix_break is None,
         prefix_first_break=prefix_break,
         suffix_first_break=suffix_break,
     )
+
+
+def count_compatible_orders(
+    A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
+) -> int:
+    """How many compatible arrangements A has, counted without listing.
+
+    Refused over max_reflections as enumerate_compatible_orders is.
+    """
+    folded = fold_orders(A.reflections, reflection_pairs(A), max_reflections, _keep, None)
+    return sum(folded.values())
+
+
+def _keep(state, _):
+    return state
 
 
 def order_verdicts(
@@ -232,20 +267,29 @@ def order_verdicts(
     return verdicts
 
 
-def _chain(n: int, steps) -> tuple[tuple[Window, ...], int | None]:
-    """The chain e, e * t1, e * t1 * t2, ... and its first non-cover step.
+def _walk(n: int, steps: ReflectionOrder, covers) -> tuple[Window, int | None]:
+    """The end e * t1 * t2 * ... of the chain and its first non-cover step.
 
-    The step index is 1-based, None when every step is a cover.
+    covers decides one step as bruhat.swap_covers does.  The step
+    index is 1-based, None when every step is a cover.
     """
     x = list(range(1, n + 1))
-    chain = [tuple(x)]
     first_break = None
     for step, (i, j) in enumerate(steps, start=1):
-        if first_break is None and not bruhat.swap_covers(x, i, j):
+        if first_break is None and not covers(x, i, j):
             first_break = step
         x[i - 1], x[j - 1] = x[j - 1], x[i - 1]
+    return tuple(x), first_break
+
+
+def _chain(n: int, steps: ReflectionOrder) -> tuple[Window, ...]:
+    """The chain e, e * t1, e * t1 * t2, ... as windows."""
+    x = list(range(1, n + 1))
+    chain = [tuple(x)]
+    for i, j in steps:
+        x[i - 1], x[j - 1] = x[j - 1], x[i - 1]
         chain.append(tuple(x))
-    return tuple(chain), first_break
+    return tuple(chain)
 
 
 def _moves(order: ReflectionOrder):
@@ -310,8 +354,24 @@ def order_graph_dot(
 def graph_connected(
     A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> bool:
-    """Is the elementary-move graph on compatible arrangements connected?"""
-    return connected_by_moves(enumerate_compatible_orders(A, max_reflections))
+    """Is the elementary-move graph on compatible arrangements connected?
+
+    ordering_engine.moves_connected certifies it from local squares
+    (disjoint reflections commute) and hexagons (the pairs with a long
+    reflection) without listing.  Where the certificate is undecided,
+    the arrangements are listed and searched by connected_by_moves,
+    which is exact.  Both are refused over max_reflections as
+    enumerate_compatible_orders is.
+    """
+    pairs = list(reflection_pairs(A))
+    if moves_connected(A.reflections, pairs, max_reflections, _disjoint):
+        return True
+    return connected_by_moves(capped_orders(A.reflections, pairs, max_reflections))
+
+
+def _disjoint(s: Transposition, t: Transposition) -> bool:
+    """Do T(i, j) and T(k, l) move disjoint positions, so commute?"""
+    return not set(s) & set(t)
 
 
 def connected_by_moves(orders) -> bool:

@@ -164,7 +164,10 @@ def first_noncover(chain) -> int | None:
 
 def reference_verify_order(w: tuple[int, ...], order):
     """verify_order from whole windows: a set comparison against the
-    filtered reflections, product chains, and is_cover on each step."""
+    filtered reflections, product chains, and is_cover on each step.
+
+    Returns the report with the prefix and suffix chains beside it.
+    """
     from smoothchains.orders import VerificationReport
     from smoothchains.permutations import identity, times_transposition
 
@@ -178,18 +181,17 @@ def reference_verify_order(w: tuple[int, ...], order):
         suffix.append(times_transposition(suffix[-1], t))
     prefix_break = first_noncover(prefix)
     suffix_break = first_noncover(suffix)
-    return VerificationReport(
+    report = VerificationReport(
         window=w,
         order=tuple(order),
         product=prefix[-1],
-        prefix_chain=tuple(prefix),
-        suffix_chain=tuple(suffix),
         product_ok=prefix[-1] == w,
         prefix_saturated=prefix_break is None,
         suffix_saturated=suffix_break is None,
         prefix_first_break=prefix_break,
         suffix_first_break=suffix_break,
     )
+    return report, tuple(prefix), tuple(suffix)
 
 
 def reference_moves(order) -> list[tuple]:

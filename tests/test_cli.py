@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from smoothchains import cli, orders
+from smoothchains.admissible import is_smooth_pattern
 from smoothchains.cli import main
+from smoothchains.permutations import all_windows
 
 CLI = [sys.executable, "-m", "smoothchains.cli"]
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -408,9 +410,38 @@ def test_enumerate_orders_sweep_lists_no_arrangement(capsys, monkeypatch):
     assert payload["counters"] == {"checked": 88, "orders": 1517}
 
 
+def test_graph_connectivity_sweep_lists_no_arrangement(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep listed an arrangement")
+
+    for module in (cli, orders):
+        monkeypatch.setattr(module, "enumerate_compatible_orders", refuse)
+    monkeypatch.setattr(orders, "capped_orders", refuse)
+    monkeypatch.setattr(orders, "connected_by_moves", refuse)
+    code, payload = run_json(capsys, "sweep", "--mode", "graph-connectivity", "--n", "5")
+    assert code == 0
+    assert payload["counters"] == {"checked": 88, "orders": 1517}
+
+
+def test_graph_connectivity_sweep_falls_back_to_the_listing(capsys, monkeypatch):
+    # with the certificate undecided everywhere, the listing's search
+    # gives the same report
+    argv = ["sweep", "--mode", "graph-connectivity", "--n", "5"]
+    expected = run_json(capsys, *argv)
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    assert run_json(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_smooth_windows_grow_by_inserting_the_maximum(n):
+    assert cli._smooth_windows(n) == [w for w in all_windows(n) if is_smooth_pattern(w)]
+
+
 def test_sweep_reports_graph_disconnected(capsys, monkeypatch):
-    # 321 is the one window of S3 with two arrangements
-    monkeypatch.setattr(cli, "connected_by_moves", lambda orders: len(orders) < 2)
+    # 321 is the one window of S3 with two arrangements; with the
+    # certificate undecided the sweep falls back to the listing's search
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    monkeypatch.setattr(orders, "connected_by_moves", lambda orders: len(orders) < 2)
     out, found = _one_violation(capsys, ["sweep", "--mode", "graph-connectivity", "--n", "3"])
     assert found == [{"window": "321", "kind": "graph-disconnected"}]
     assert "VIOLATION 321: graph-disconnected\n" in out

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -10,6 +12,7 @@ from smoothchains.ordering_engine import (
     capped_orders,
     fold_orders,
     is_compatible_order,
+    moves_connected,
 )
 from smoothchains.permutations import all_windows, compose, identity, times_transposition
 from smoothchains.type_d import (
@@ -176,3 +179,94 @@ def test_a_long_forced_chain_lists_and_folds_to_one_arrangement():
     pairs = [(p, p + 1, None, True, False) for p in range(199)]
     assert capped_orders(items, pairs, None) == [tuple(items)]
     assert fold_orders(items, pairs, None, _append, ()) == {tuple(items): 1}
+
+
+def _never(a, b):
+    return False
+
+
+def _always(a, b):
+    return True
+
+
+def test_certificate_leaves_a_graph_without_moves_undecided():
+    # a b and b a are the two arrangements; only a square joins them
+    assert capped_orders("ab", [], None) == [("a", "b"), ("b", "a")]
+    assert moves_connected("ab", [], None, _always) is True
+    assert moves_connected("ab", [], None, _never) is False
+
+
+def test_certificate_joins_the_ends_of_a_pair_by_a_hexagon():
+    # a mid b and b mid a, one reversal apart
+    pairs = [("a", "b", "m", False, False)]
+    assert capped_orders("abm", pairs, None) == [("a", "m", "b"), ("b", "m", "a")]
+    assert moves_connected("abm", pairs, None, _never) is True
+
+
+def test_certificate_over_no_arrangement_is_vacuous_and_capped():
+    unsatisfiable = [("a", "b", None, True, True)]
+    assert capped_orders("ab", unsatisfiable, None) == []
+    assert moves_connected("ab", unsatisfiable, None, _never) is True
+    with pytest.raises(ValueError) as listed:
+        capped_orders("abc", [], 2)
+    with pytest.raises(ValueError) as certified:
+        moves_connected("abc", [], 2, _never)
+    assert str(certified.value) == str(listed.value)
+
+
+def _joined_by_moves(arrangements, pairs, commute) -> bool:
+    # search over the listed arrangements: swap adjacent commuting
+    # items, reverse a, mid, b of a pair with mid
+    hexagons = set()
+    for a, b, mid, _, _ in pairs:
+        if mid is not None:
+            hexagons |= {(a, mid, b), (b, mid, a)}
+    unreached = set(arrangements)
+    stack = [unreached.pop()] if unreached else []
+    while stack:
+        x = stack.pop()
+        moved = [
+            x[:p] + (x[p + 1], x[p]) + x[p + 2 :]
+            for p in range(len(x) - 1)
+            if commute(x[p], x[p + 1])
+        ]
+        moved += [
+            x[:p] + x[p : p + 3][::-1] + x[p + 3 :]
+            for p in range(len(x) - 2)
+            if x[p : p + 3] in hexagons
+        ]
+        for y in moved:
+            if y in unreached:
+                unreached.remove(y)
+                stack.append(y)
+    return not unreached
+
+
+def test_certificate_never_certifies_a_disconnected_graph():
+    # seeded random pair sets and commute rules on three to five items,
+    # satisfiable or not: a certified graph is connected, and the
+    # certificate decides every connected one of these
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(1000):
+        items = "abcde"[: rng.choice([3, 4, 5])]
+        pairs = []
+        for a, b in combinations(items, 2):
+            if rng.random() < 0.5:
+                others = [c for c in items if c not in (a, b)]
+                if rng.random() < 0.4:
+                    pairs.append((a, b, rng.choice(others), False, False))
+                else:
+                    ab = rng.random() < 0.5
+                    pairs.append((a, b, None, ab, not ab))
+        commuting = {frozenset(p) for p in combinations(items, 2) if rng.random() < 0.5}
+
+        def commute(a, b):
+            return frozenset((a, b)) in commuting
+
+        listed = capped_orders(items, pairs, None)
+        certified = moves_connected(items, pairs, None, commute)
+        connected = _joined_by_moves(listed, pairs, commute)
+        assert connected or not certified, (items, pairs, commuting)
+        seen[certified, connected] += 1
+    assert seen == {(True, True): 626, (False, False): 374}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -14,7 +15,7 @@ from oracles import (
     reference_verify_order,
     wedges_by_definition,
 )
-from smoothchains import bruhat
+from smoothchains import bruhat, orders
 from smoothchains.admissible import (
     admissibility_violation,
     c23,
@@ -23,11 +24,14 @@ from smoothchains.admissible import (
     invert_set,
     is_smooth_pattern,
     make_set,
+    reflection_pairs,
     restrict,
 )
+from smoothchains.ordering_engine import moves_connected
 from smoothchains.orders import (
     NotSmoothError,
     Verdict,
+    _disjoint,
     _moves,
     connected_by_moves,
     construct_compatible_order,
@@ -310,7 +314,26 @@ def test_order_verdicts_match_listing_and_verify_order(monkeypatch, break_covers
 def test_order_verdicts_of_the_longest_element_count_reduced_words(n, count):
     # for w0 the counts are Stanley's reduced-word counts (OEIS A005118)
     w0 = tuple(range(n, 0, -1))
+    assert count == _staircase_tableaux(n)
     assert order_verdicts(w0, None) == {ALL_OK: count}
+
+
+def _staircase_tableaux(n):
+    """Standard Young tableaux of shape (n-1, ..., 1), by the hook-length
+    formula; Stanley (1984) counts the reduced words of w0 in S_n by them."""
+    shape = range(n - 1, 0, -1)
+    hooks = 1
+    for r, row in enumerate(shape):
+        for c in range(row):
+            # arm row - c - 1, leg the rows below that reach column c
+            hooks *= row - c + sum(below > c for below in shape[r + 1 :])
+    return math.factorial(sum(shape)) // hooks
+
+
+@pytest.mark.slow
+def test_order_verdicts_of_the_longest_element_of_s9_without_a_cap():
+    w0 = tuple(range(9, 0, -1))
+    assert order_verdicts(w0, None) == {ALL_OK: _staircase_tableaux(9)}
 
 
 def test_order_verdicts_over_smooth_s6_at_cap_15():
@@ -407,7 +430,11 @@ def test_verify_order_matches_reference_on_listed_and_shuffled_orders(n):
             rng.shuffle(order)
             shuffled.append(tuple(order))
         for order in listed + shuffled:
-            assert verify_order(w, order) == reference_verify_order(w, order), (w, order)
+            report = verify_order(w, order)
+            expected, prefix, suffix = reference_verify_order(w, order)
+            assert report == expected, (w, order)
+            assert report.prefix_chain == prefix, (w, order)
+            assert report.suffix_chain == suffix, (w, order)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -423,7 +450,10 @@ def test_verify_order_matches_reference_where_chains_break(n):
             order = sorted(c_t(w))
             rng.shuffle(order)
             report = verify_order(w, tuple(order))
-            assert report == reference_verify_order(w, tuple(order)), (w, order)
+            expected, prefix, suffix = reference_verify_order(w, tuple(order))
+            assert report == expected, (w, order)
+            assert report.prefix_chain == prefix, (w, order)
+            assert report.suffix_chain == suffix, (w, order)
             assert not report.all_ok
             breaks += report.prefix_first_break is not None
             breaks += report.suffix_first_break is not None
@@ -502,6 +532,65 @@ def test_neighbor_relation_is_symmetric_on_smooth_s4():
 def test_move_graph_connected_for_all_smooth(n):
     for w in smooth_windows(n):
         assert graph_connected(c23(w)), w
+
+
+def _certified(A, cap):
+    return moves_connected(A.reflections, reflection_pairs(A), cap, _disjoint)
+
+
+@pytest.mark.parametrize(
+    "n, cap, decided",
+    [(1, None, 1), (2, None, 2), (3, None, 6), (4, None, 22), (5, None, 88), (6, 10, 343)],
+)
+def test_certificate_decides_every_smooth_window(n, cap, decided):
+    # the local squares and hexagons alone join every move graph, and
+    # graph_connected agrees with the search over the listing
+    found = 0
+    for w in smooth_windows(n):
+        A = c23(w)
+        if cap is not None and len(A.reflections) > cap:
+            continue
+        assert _certified(A, cap), w
+        assert graph_connected(A, cap) == connected_by_moves(enumerate_compatible_orders(A, cap))
+        found += 1
+    assert found == decided
+
+
+@pytest.mark.slow
+def test_certificate_decides_every_smooth_window_of_s7():
+    windows = smooth_windows(7)
+    assert len(windows) == 1552
+    for w in windows:
+        assert _certified(c23(w), None), w
+
+
+def test_undecided_certificate_falls_back_to_the_listing(monkeypatch):
+    searched = []
+    real = orders.connected_by_moves
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    monkeypatch.setattr(
+        orders, "connected_by_moves", lambda listed: searched.append(listed) or real(listed)
+    )
+    for w in smooth_windows(4):
+        A = c23(w)
+        assert graph_connected(A) is True
+        assert searched.pop() == enumerate_compatible_orders(A)
+    # two arrangements with no move between them: the listing's exact answer
+    apart = [((1, 2), (2, 3), (1, 3)), ((1, 3), (1, 2), (2, 3))]
+    monkeypatch.setattr(orders, "capped_orders", lambda *args: apart)
+    assert graph_connected(c23(parse("321"))) is False
+
+
+def test_graph_connected_refuses_over_the_cap_as_listing_does(monkeypatch):
+    w = parse("54321")  # 10 reflections
+    with pytest.raises(ValueError) as listed:
+        enumerate_compatible_orders(c23(w), 9)
+    with pytest.raises(ValueError) as certified:
+        graph_connected(c23(w), 9)
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    with pytest.raises(ValueError) as searched:
+        graph_connected(c23(w), 9)
+    assert str(certified.value) == str(searched.value) == str(listed.value)
 
 
 def test_order_graph_edges_match_neighbors():
