@@ -36,11 +36,10 @@ from .admissible import (
 from .bruhat import chain_to_dot
 from .orders import (
     DEFAULT_MAX_REFLECTIONS,
+    connectivity,
     construct_compatible_order,
     construct_for_set,
-    count_compatible_orders,
     enumerate_compatible_orders,
-    graph_connected,
     is_compatible,
     order_graph,
     order_graph_dot,
@@ -284,9 +283,8 @@ def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
 
 
 def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
-    A = c23(w)
-    count = count_compatible_orders(A, cap)
-    if graph_connected(A, cap):
+    count, connected = connectivity(c23(w), cap)
+    if connected:
         return {"orders": count}, []
     return {"orders": count}, [dict(window=format_window(w), kind="graph-disconnected")]
 
@@ -546,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "enumeration cap (default 10 for type A modes, 12 for "
             "conjecture-d); it bounds the placed-set walk of "
-            "enumerate-orders and conjecture-d"
+            "enumerate-orders, graph-connectivity and conjecture-d"
         ),
     )
     p_sweep.add_argument("--allow-large", action="store_true")

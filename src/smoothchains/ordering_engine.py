@@ -1,4 +1,4 @@
-"""Compatible reflection orders: the pair rule and the search behind it.
+"""Compatible reflection orders: the pair rule and the walk behind it.
 
 Both the type A and the type D compatibility conditions are one rule on
 summable reflection pairs, the two-root condition of Dyer's reflection
@@ -15,14 +15,11 @@ arrangement is compatible when, for every pair,
 
 Neither or both products without mid make the rule unsatisfiable; on
 admissible sets this never happens.  ``is_compatible_order`` checks the
-rule on one arrangement.  ``_placement_rule`` compiles the pairs once
-into one step function, next_steps(placed), which lists the items that
-may be placed next.  Each item keeps (mask, pattern) entries over the
-bitmask of placed items and may not be placed while placed & mask ==
-pattern for one of them.  With P an item's own bit and A, B, M those
-of a, b and mid:
+rule on one arrangement.  ``_reach`` compiles the pairs once: each item
+is placed once, and keeps (mask, pattern) entries over the bitmask of
+placed items; it may not be placed while placed & mask == pattern for
+one of them.  With A, B, M the bits of a, b and mid:
 
-  * every item gets (P, P), so it is placed once;
   * a pair without mid gives the end put second (A, 0) or (B, 0), to
     wait for the other end, and both ends when it is unsatisfiable;
   * a pair with mid gives mid (A|B, 0), to wait for one end, and gives
@@ -34,18 +31,19 @@ Every prefix built this way extends to the rule consistently, so a
 completed arrangement is compatible and no final filtering pass is
 needed.  Placement depends only on the set of items already placed,
 so the compatible arrangements are exactly the paths from the empty
-set to the full one through such sets.  Both walkers take their steps
-from next_steps.  ``constrained_orders`` follows the paths depth first,
-over items in sorted order, and appends each completed arrangement to
-one list, so the output sequence is deterministic; a cache that lives
-for the call runs next_steps once per set rather than once per path.
-``capped_orders`` is that listing, refusing sets over a cap.
-``fold_orders``, under the same cap, walks the sets instead of the
-paths and returns each product of a compatible arrangement with its
+set to the full one through such sets.  ``_reach`` yields each set
+reachable from the empty one with its allowed steps, one layer of sets
+at a time, to three consumers.  ``constrained_orders`` follows the
+paths depth first, over items in sorted order, and appends each
+completed arrangement to one list, so the output sequence is
+deterministic; ``capped_orders`` is that listing, refusing sets over a
+cap.  ``fold_orders``, under the same cap, walks the sets instead of
+the paths and returns each product of a compatible arrangement with its
 number of arrangements (linear-extension counting over the lattice of
 ideals, De Loof, De Meyer and De Baets 2006).  The type D conjecture
 check and the type A order verdicts (orders.order_verdicts) use it;
 order listing and enumerate_compatible_orders_d still list.
+``moves_connected`` counts the paths and certifies the move graph.
 
 The move graph joins two compatible arrangements that differ by one
 move: swap two adjacent items that commute (a rule the caller gives),
@@ -59,8 +57,7 @@ undecided, never a disconnected one certified.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 Item = Hashable
 # (a, b, mid, ab, ba): see the module docstring.
@@ -89,8 +86,8 @@ def is_compatible_order(
 
 
 def _capped(items: Iterable[Item], max_items: int | None) -> list[Item]:
-    """The items sorted, or the cap refusal when there are more than max_items."""
-    items = sorted(items)
+    """The distinct items sorted, or the cap refusal when there are more than max_items."""
+    items = sorted(set(items))
     if max_items is not None and len(items) > max_items:
         raise ValueError(
             f"{len(items)} reflections exceed the enumeration cap "
@@ -122,23 +119,25 @@ def fold_orders(
 
     Folds step over every arrangement from start without listing them:
     each set of placed items (a bitmask) keeps every prefix product
-    reaching it with its number of prefixes, one layer of sets at a
-    time.  A product is any hashable state, such as a window or a
-    window with the verdicts of the steps so far.  Returns {} when no
-    arrangement is compatible.  The cap is that of capped_orders.
+    reaching it with its number of prefixes, and hands them on when
+    _reach yields it, so only the sets of the current layer and the
+    next hold products.  A product is any hashable state, such as a
+    window or a window with the verdicts of the steps so far.  Returns
+    {} when no arrangement is compatible.  The cap is that of
+    capped_orders.
     """
-    bits, next_steps = _placement_rule(_capped(items, max_items), pairs)
-    layer = {0: {start: 1}}
-    for _ in bits:
-        nxt: dict[int, dict[Product, int]] = {}
-        for placed, products in layer.items():
-            for bit, item in next_steps(placed):
-                target = nxt.setdefault(placed | bit, {})
-                for x, count in products.items():
-                    y = step(x, item)
-                    target[y] = target.get(y, 0) + count
-        layer = nxt
-    return layer.get((1 << len(bits)) - 1, {})
+    ordered = _capped(items, max_items)
+    full = (1 << len(ordered)) - 1
+    at: dict[int, dict[Product, int]] = {0: {start: 1}}
+    for placed, steps in _reach(ordered, pairs):
+        products = at.pop(placed)
+        for bit, item in steps:
+            target = at.setdefault(placed | bit, {})
+            for x, count in products.items():
+                y = step(x, item)
+                target[y] = target.get(y, 0) + count
+    # the full set, when reached, is the last set _reach yields
+    return products if placed == full else {}
 
 
 def moves_connected(
@@ -146,52 +145,48 @@ def moves_connected(
     pairs: Iterable[Pair],
     max_items: int | None,
     commute: Callable[[Item, Item], bool],
-) -> bool:
-    """A certificate that moves join all compatible arrangements.
+) -> tuple[int, bool]:
+    """How many compatible arrangements, and a certificate that moves join them.
 
     The moves are those of the module docstring's move graph: swap two
     adjacent items that commute, or reverse a, mid, b for a pair with
     mid.  True means the graph is connected.  False means undecided:
     the local joins below did not suffice, and the graph may still be
-    connected.  No arrangement is listed.  The cap is that of
-    capped_orders.
+    connected.  The count is exact either way, and no arrangement is
+    listed.  The cap is that of capped_orders.
 
-    A placed set is live when it extends to the full set.  At each live
-    set S, two first steps a and b toward live sets are joined by a
-    square, when a and b commute, a b and b a are both placed from S
-    and S + a + b is live, or by a hexagon, for a pair (a, b, mid) with
-    a mid b and b mid a both placed from S and S + a + b + mid live.
-    A square gives arrangements S a b ... and S b a ... one move apart,
-    a hexagon S a mid b ... and S b mid a ....  If the joins connect
-    the first steps at every live set, then by induction on the
-    unplaced items every two completions of S are joined by moves, so
-    at the empty set every two arrangements are.
+    A placed set is live when it extends to the full set.  One pass
+    back from the full set keeps only the steps into live sets and
+    counts the paths from each live set to the full one; the count is
+    that of the empty set.  At each live set S, two first steps a and
+    b toward live sets are joined by a square, when a and b commute,
+    a b and b a are both placed from S and S + a + b is live, or by a
+    hexagon, for a pair (a, b, mid) with a mid b and b mid a both
+    placed from S and S + a + b + mid live.  A square gives arrangements S a b ... and
+    S b a ... one move apart, a hexagon S a mid b ... and S b mid a ....
+    If the joins connect the first steps at every live set, then by
+    induction on the unplaced items every two completions of S are
+    joined by moves, so at the empty set every two arrangements are.
     """
     pairs = list(pairs)
-    bits, next_steps = _placement_rule(_capped(items, max_items), pairs)
-    full = (1 << len(bits)) - 1
-    # enabled[S]: mask of the items next_steps allows at each reachable S
-    enabled: dict[int, int] = {}
-    layers = [[0]]
-    for _ in range(len(bits) + 1):
-        reached: dict[int, None] = {}
-        for placed in layers[-1]:
-            mask = 0
-            for bit, _ in next_steps(placed):
-                mask |= bit
-                reached[placed | bit] = None
-            enabled[placed] = mask
-        layers.append(list(reached))
-    # live[S]: mask of the first steps from a live S into live sets
-    live = {full: 0} if full in enabled else {}
-    for layer in reversed(layers):
-        for placed in layer:
-            steps = 0
-            for bit in _bits_of(enabled[placed]):
-                if placed | bit in live:
-                    steps |= bit
-            if steps:
-                live[placed] = steps
+    ordered = _capped(items, max_items)
+    full = (1 << len(ordered)) - 1
+    # steps[S]: mask of the steps allowed at each reachable S, layer by layer
+    steps = {placed: sum(bit for bit, _ in allowed) for placed, allowed in _reach(ordered, pairs)}
+    # paths[S]: number of paths from a live S to the full set; steps[S]
+    # then keeps only the steps into live sets
+    paths = {full: 1} if full in steps else {}
+    for placed in reversed(steps):
+        live = total = 0
+        for bit in _bits_of(steps[placed]):
+            if placed | bit in paths:
+                live |= bit
+                total += paths[placed | bit]
+        steps[placed] = live
+        if live:
+            paths[placed] = total
+    count = paths.get(0, 0)
+    bits = {item: 1 << p for p, item in enumerate(ordered)}
     commuting = {
         bit: sum(other for y, other in bits.items() if commute(x, y))
         for x, bit in bits.items()
@@ -199,30 +194,29 @@ def moves_connected(
     hexagons = [
         (bits[a], bits[b], bits[mid]) for a, b, mid, _, _ in pairs if mid is not None
     ]
-    for placed, steps in live.items():
-        if not steps & (steps - 1):  # at most one first step
+    # every step kept leads to a live set, so the moves below end in live sets
+    for placed in paths:
+        first = steps[placed]
+        if not first & (first - 1):  # at most one first step
             continue
         joins = []
-        for a in _bits_of(steps):
-            for b in _bits_of(steps & commuting[a] & ~(2 * a - 1)):
-                if enabled[placed | a] & b and enabled[placed | b] & a and (
-                    placed | a | b in live
-                ):
+        for a in _bits_of(first):
+            for b in _bits_of(first & commuting[a] & ~(2 * a - 1)):
+                if steps[placed | a] & b and steps[placed | b] & a:
                     joins.append(a | b)
         for a, b, mid in hexagons:
             if (
-                steps & a
-                and steps & b
-                and enabled[placed | a] & mid
-                and enabled[placed | a | mid] & b
-                and enabled[placed | b] & mid
-                and enabled[placed | b | mid] & a
-                and placed | a | b | mid in live
+                first & a
+                and first & b
+                and steps[placed | a] & mid
+                and steps[placed | a | mid] & b
+                and steps[placed | b] & mid
+                and steps[placed | b | mid] & a
             ):
                 joins.append(a | b)
-        if not _joined(steps, joins):
-            return False
-    return True
+        if not _joined(first, joins):
+            return count, False
+    return count, True
 
 
 def _bits_of(mask: int) -> list[int]:
@@ -248,22 +242,21 @@ def _joined(steps: int, joins: list[int]) -> bool:
     return reached == steps
 
 
-def _placement_rule(
-    items: Iterable[Item], pairs: Iterable[Pair]
-) -> tuple[dict[Item, int], Callable[[int], list[tuple[int, Item]]]]:
-    """Each item's bit, and next_steps(placed) over index bitmasks.
+def _reach(
+    ordered: list[Item], pairs: Iterable[Pair]
+) -> Iterator[tuple[int, list[tuple[int, Item]]]]:
+    """Each placed set reachable from the empty one, with its allowed steps.
 
-    Bits follow sorted item order.  next_steps lists (bit, item), in
-    that order, for each item that no (mask, pattern) entry of the
-    module docstring holds back.  Pairs naming unknown or repeated
-    items are rejected.
+    ordered holds distinct items; item p has bit 1 << p.  The sets come
+    one layer (number of placed items) at a time, each with the
+    (bit, item) steps, in item order, of the unplaced items that no
+    (mask, pattern) entry of the module docstring holds back.  Pairs
+    naming unknown or repeated items are rejected before the first set.
     """
-    ordered = sorted(set(items))
-    k = len(ordered)
     pos = {item: p for p, item in enumerate(ordered)}
 
     # the (mask, pattern) entries of the module docstring, item by item
-    forbidden: list[list[tuple[int, int]]] = [[(1 << p, 1 << p)] for p in range(k)]
+    forbidden: list[list[tuple[int, int]]] = [[] for _ in ordered]
     for a, b, mid, ab, ba in pairs:
         named = (a, b) if mid is None else (a, b, mid)
         if any(x not in pos for x in named):
@@ -282,19 +275,23 @@ def _placement_rule(
         if ba or not ab:
             forbidden[pos[a]].append((B, 0))
 
-    steps = [(1 << p, item, forbidden[p]) for p, item in enumerate(ordered)]
-
-    def next_steps(placed: int) -> list[tuple[int, Item]]:
-        allowed = []
-        for bit, item, rules in steps:
-            for mask, pattern in rules:
-                if placed & mask == pattern:
-                    break
-            else:
-                allowed.append((bit, item))
-        return allowed
-
-    return {item: 1 << p for p, item in enumerate(ordered)}, next_steps
+    rules = [(1 << p, item, forbidden[p]) for item, p in pos.items()]
+    layer = {0: None}
+    while layer:
+        reached: dict[int, None] = {}
+        for placed in layer:
+            steps = []
+            for bit, item, entries in rules:
+                if placed & bit:
+                    continue
+                for mask, pattern in entries:
+                    if placed & mask == pattern:
+                        break
+                else:
+                    steps.append((bit, item))
+                    reached[placed | bit] = None
+            yield placed, steps
+        layer = reached
 
 
 def constrained_orders(
@@ -302,25 +299,25 @@ def constrained_orders(
 ) -> list[tuple[Item, ...]]:
     """Every arrangement of items that the pair rule allows, in one list.
 
-    Depth first over items in sorted order.  The items that may come
-    next depend only on the placed set, so next_steps runs once per set
-    under a cache that lives for this call.  Unsatisfiable pairs give
-    an empty list.  Pairs naming unknown items are rejected.
+    Depth first over items in sorted order, through the steps _reach
+    gives each placed set.  Unsatisfiable pairs give an empty list.
+    Pairs naming unknown items are rejected.
     """
-    bits, next_steps = _placement_rule(items, pairs)
+    ordered = _capped(items, None)
     listed: list[tuple[Item, ...]] = []
-    _extend(functools.cache(next_steps), (1 << len(bits)) - 1, 0, (), listed)
+    _extend(dict(_reach(ordered, pairs)), (1 << len(ordered)) - 1, 0, (), listed)
     return listed
 
 
-def _extend(next_steps, full: int, placed: int, arranged: tuple, listed: list) -> None:
+def _extend(steps: dict, full: int, placed: int, arranged: tuple, listed: list) -> None:
     """Append to listed every arrangement that completes arranged.
 
-    At module level, so no reference cycle keeps the memo alive after
-    the listing ends, as a nested function calling itself would.
+    steps holds each reachable set's allowed steps.  At module level, so
+    no reference cycle keeps them alive after the listing ends, as a
+    nested function calling itself would.
     """
     if placed == full:
         listed.append(arranged)
         return
-    for bit, item in next_steps(placed):
-        _extend(next_steps, full, placed | bit, arranged + (item,), listed)
+    for bit, item in steps[placed]:
+        _extend(steps, full, placed | bit, arranged + (item,), listed)

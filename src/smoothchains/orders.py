@@ -222,21 +222,6 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     )
 
 
-def count_compatible_orders(
-    A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
-) -> int:
-    """How many compatible arrangements A has, counted without listing.
-
-    Refused over max_reflections as enumerate_compatible_orders is.
-    """
-    folded = fold_orders(A.reflections, reflection_pairs(A), max_reflections, _keep, None)
-    return sum(folded.values())
-
-
-def _keep(state, _):
-    return state
-
-
 def order_verdicts(
     w: Window, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> Counter[Verdict]:
@@ -351,22 +336,35 @@ def order_graph_dot(
     return "\n".join(lines) + "\n"
 
 
+def connectivity(
+    A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
+) -> tuple[int, bool]:
+    """How many compatible arrangements, and does the move graph join them?
+
+    ordering_engine.moves_connected counts the arrangements and
+    certifies the graph from local squares (disjoint reflections
+    commute) and hexagons (the pairs with a long reflection) in one
+    walk, without listing.  Where the certificate is undecided, the
+    arrangements are listed, counted and searched by connected_by_moves,
+    which is exact.  Both are refused over max_reflections as
+    enumerate_compatible_orders is.
+    """
+    pairs = list(reflection_pairs(A))
+    count, certified = moves_connected(A.reflections, pairs, max_reflections, _disjoint)
+    if certified:
+        return count, True
+    listed = capped_orders(A.reflections, pairs, max_reflections)
+    return len(listed), connected_by_moves(listed)
+
+
 def graph_connected(
     A: AdmissibleSet, max_reflections: int | None = DEFAULT_MAX_REFLECTIONS
 ) -> bool:
     """Is the elementary-move graph on compatible arrangements connected?
 
-    ordering_engine.moves_connected certifies it from local squares
-    (disjoint reflections commute) and hexagons (the pairs with a long
-    reflection) without listing.  Where the certificate is undecided,
-    the arrangements are listed and searched by connected_by_moves,
-    which is exact.  Both are refused over max_reflections as
-    enumerate_compatible_orders is.
+    The connectivity verdict alone, certified or searched as there.
     """
-    pairs = list(reflection_pairs(A))
-    if moves_connected(A.reflections, pairs, max_reflections, _disjoint):
-        return True
-    return connected_by_moves(capped_orders(A.reflections, pairs, max_reflections))
+    return connectivity(A, max_reflections)[1]
 
 
 def _disjoint(s: Transposition, t: Transposition) -> bool:

@@ -423,12 +423,24 @@ def test_graph_connectivity_sweep_lists_no_arrangement(capsys, monkeypatch):
     assert payload["counters"] == {"checked": 88, "orders": 1517}
 
 
+def test_graph_connectivity_sweep_compiles_each_window_once(capsys, monkeypatch):
+    # the count and the certificate come from one walk over one compiled
+    # pair rule per window
+    calls = []
+    real = orders.reflection_pairs
+    monkeypatch.setattr(orders, "reflection_pairs", lambda A: calls.append(A) or real(A))
+    code, payload = run_json(capsys, "sweep", "--mode", "graph-connectivity", "--n", "5")
+    assert code == 0
+    assert payload["counters"] == {"checked": 88, "orders": 1517}
+    assert len(calls) == 88
+
+
 def test_graph_connectivity_sweep_falls_back_to_the_listing(capsys, monkeypatch):
     # with the certificate undecided everywhere, the listing's search
     # gives the same report
     argv = ["sweep", "--mode", "graph-connectivity", "--n", "5"]
     expected = run_json(capsys, *argv)
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
     assert run_json(capsys, *argv) == expected
 
 
@@ -440,7 +452,7 @@ def test_smooth_windows_grow_by_inserting_the_maximum(n):
 def test_sweep_reports_graph_disconnected(capsys, monkeypatch):
     # 321 is the one window of S3 with two arrangements; with the
     # certificate undecided the sweep falls back to the listing's search
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
     monkeypatch.setattr(orders, "connected_by_moves", lambda orders: len(orders) < 2)
     out, found = _one_violation(capsys, ["sweep", "--mode", "graph-connectivity", "--n", "3"])
     assert found == [{"window": "321", "kind": "graph-disconnected"}]

@@ -192,21 +192,21 @@ def _always(a, b):
 def test_certificate_leaves_a_graph_without_moves_undecided():
     # a b and b a are the two arrangements; only a square joins them
     assert capped_orders("ab", [], None) == [("a", "b"), ("b", "a")]
-    assert moves_connected("ab", [], None, _always) is True
-    assert moves_connected("ab", [], None, _never) is False
+    assert moves_connected("ab", [], None, _always) == (2, True)
+    assert moves_connected("ab", [], None, _never) == (2, False)
 
 
 def test_certificate_joins_the_ends_of_a_pair_by_a_hexagon():
     # a mid b and b mid a, one reversal apart
     pairs = [("a", "b", "m", False, False)]
     assert capped_orders("abm", pairs, None) == [("a", "m", "b"), ("b", "m", "a")]
-    assert moves_connected("abm", pairs, None, _never) is True
+    assert moves_connected("abm", pairs, None, _never) == (2, True)
 
 
 def test_certificate_over_no_arrangement_is_vacuous_and_capped():
     unsatisfiable = [("a", "b", None, True, True)]
     assert capped_orders("ab", unsatisfiable, None) == []
-    assert moves_connected("ab", unsatisfiable, None, _never) is True
+    assert moves_connected("ab", unsatisfiable, None, _never) == (0, True)
     with pytest.raises(ValueError) as listed:
         capped_orders("abc", [], 2)
     with pytest.raises(ValueError) as certified:
@@ -265,7 +265,8 @@ def test_certificate_never_certifies_a_disconnected_graph():
             return frozenset((a, b)) in commuting
 
         listed = capped_orders(items, pairs, None)
-        certified = moves_connected(items, pairs, None, commute)
+        count, certified = moves_connected(items, pairs, None, commute)
+        assert count == len(listed), (items, pairs)
         connected = _joined_by_moves(listed, pairs, commute)
         assert connected or not certified, (items, pairs, commuting)
         seen[certified, connected] += 1

@@ -534,7 +534,7 @@ def test_move_graph_connected_for_all_smooth(n):
         assert graph_connected(c23(w)), w
 
 
-def _certified(A, cap):
+def _certificate(A, cap):
     return moves_connected(A.reflections, reflection_pairs(A), cap, _disjoint)
 
 
@@ -543,31 +543,35 @@ def _certified(A, cap):
     [(1, None, 1), (2, None, 2), (3, None, 6), (4, None, 22), (5, None, 88), (6, 10, 343)],
 )
 def test_certificate_decides_every_smooth_window(n, cap, decided):
-    # the local squares and hexagons alone join every move graph, and
-    # graph_connected agrees with the search over the listing
+    # the local squares and hexagons alone join every move graph, the
+    # certificate's count is the fold's, and graph_connected agrees with
+    # the search over the listing
     found = 0
     for w in smooth_windows(n):
         A = c23(w)
         if cap is not None and len(A.reflections) > cap:
             continue
-        assert _certified(A, cap), w
+        count, certified = _certificate(A, cap)
+        assert certified, w
+        assert count == sum(order_verdicts(w, cap).values()), w
         assert graph_connected(A, cap) == connected_by_moves(enumerate_compatible_orders(A, cap))
         found += 1
     assert found == decided
 
 
 @pytest.mark.slow
-def test_certificate_decides_every_smooth_window_of_s7():
-    windows = smooth_windows(7)
-    assert len(windows) == 1552
+@pytest.mark.parametrize("n, size", [(7, 1552), (8, 6652)])
+def test_certificate_decides_every_smooth_window_of_s7_and_s8(n, size):
+    windows = smooth_windows(n)
+    assert len(windows) == size
     for w in windows:
-        assert _certified(c23(w), None), w
+        assert _certificate(c23(w), None)[1], w
 
 
 def test_undecided_certificate_falls_back_to_the_listing(monkeypatch):
     searched = []
     real = orders.connected_by_moves
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
     monkeypatch.setattr(
         orders, "connected_by_moves", lambda listed: searched.append(listed) or real(listed)
     )
@@ -587,7 +591,7 @@ def test_graph_connected_refuses_over_the_cap_as_listing_does(monkeypatch):
         enumerate_compatible_orders(c23(w), 9)
     with pytest.raises(ValueError) as certified:
         graph_connected(c23(w), 9)
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: False)
+    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
     with pytest.raises(ValueError) as searched:
         graph_connected(c23(w), 9)
     assert str(certified.value) == str(searched.value) == str(listed.value)
