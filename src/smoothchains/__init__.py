@@ -24,7 +24,6 @@ from .admissible import (
     parse_element,
     realize,
     restrict,
-    wedge_window_test,
 )
 from .bruhat import (
     chain_text,
@@ -118,6 +117,5 @@ __all__ = [
     "transposition_window",
     "verify_conjecture_d",
     "verify_order",
-    "wedge_window_test",
     "weyl_group",
 ]

@@ -322,16 +322,3 @@ def restrict(A: AdmissibleSet, wedge: Transposition) -> AdmissibleSet:
         raise ValueError(f"{wedge} is not a wedge of the set")
     return AdmissibleSet(A.degree, frozenset(e for e in A.members if e[1] != wedge[0]))
 
-
-def wedge_window_test(w: Window, i: int, j: int) -> bool:
-    """Window-level wedge test for the full set below w.
-
-    (i, j) is a wedge of c23(w) iff w maps {1..i-1} onto itself,
-    w(i) >= j, and w^{-1}(i) = j.
-    """
-    n = len(w)
-    if not 1 <= i < j <= n:
-        raise ValueError(f"bad wedge indices ({i}, {j}) for degree {n}")
-    if set(w[: i - 1]) != set(range(1, i)):
-        return False
-    return w[i - 1] >= j and inverse(w)[i - 1] == j

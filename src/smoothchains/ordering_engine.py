@@ -43,16 +43,19 @@ number of arrangements (linear-extension counting over the lattice of
 ideals, De Loof, De Meyer and De Baets 2006).  The type D conjecture
 check and the type A order verdicts (orders.order_verdicts) use it;
 order listing and enumerate_compatible_orders_d still list.
-``moves_connected`` counts the paths and certifies the move graph.
 
-The move graph joins two compatible arrangements that differ by one
-move: swap two adjacent items that commute (a rule the caller gives),
-or reverse three consecutive items a, mid, b of a pair with mid.
-``moves_connected`` certifies it connected from squares and hexagons
-at each placed set, the local confluence behind Tits' word property
-and the connectivity of the higher Bruhat order B(n, 2) (Manin and
-Schechtman 1989), without listing; it may leave a connected graph
-undecided, never a disconnected one certified.
+The move graph joins two compatible arrangements one move apart
+(``moves``): a swap of two adjacent items that commute, a rule the
+caller gives, or the reversal of three consecutive items a, mid, b of
+a pair with mid.  ``_move_rule`` reads both off (pairs, commute), once
+per set for the certificate and the searches.  ``moves_connected``,
+the third consumer of ``_reach``, counts the paths and certifies the
+graph connected from squares and hexagons at each placed set, the
+local confluence behind Tits' word property and the connectivity of
+the higher Bruhat order B(n, 2) (Manin and Schechtman 1989); it may
+leave a connected graph undecided, never a disconnected one certified.
+``connectivity`` is exact: where the certificate is undecided it lists
+under the same cap and searches (``connected_by_moves``).
 """
 
 from __future__ import annotations
@@ -62,12 +65,12 @@ from typing import Callable, Hashable, Iterable, Iterator
 Item = Hashable
 # (a, b, mid, ab, ba): see the module docstring.
 Pair = tuple[Item, Item, Item | None, bool, bool]
+Arrangement = tuple[Item, ...]
+Commute = Callable[[Item, Item], bool]
 Product = Hashable
 
 
-def is_compatible_order(
-    order: tuple[Item, ...], items: Iterable[Item], pairs: Iterable[Pair]
-) -> bool:
+def is_compatible_order(order: Arrangement, items: Iterable[Item], pairs: Iterable[Pair]) -> bool:
     """Check the pair rule on one arrangement; the reference for the search.
 
     The arrangement must use exactly the given items.
@@ -98,7 +101,7 @@ def _capped(items: Iterable[Item], max_items: int | None) -> list[Item]:
 
 def capped_orders(
     items: Iterable[Item], pairs: Iterable[Pair], max_items: int | None
-) -> list[tuple[Item, ...]]:
+) -> list[Arrangement]:
     """All compatible arrangements, in the engine's deterministic order.
 
     Refuses more than max_items items (None lifts the cap) before the
@@ -141,32 +144,25 @@ def fold_orders(
 
 
 def moves_connected(
-    items: Iterable[Item],
-    pairs: Iterable[Pair],
-    max_items: int | None,
-    commute: Callable[[Item, Item], bool],
+    items: Iterable[Item], pairs: Iterable[Pair], max_items: int | None, commute: Commute
 ) -> tuple[int, bool]:
     """How many compatible arrangements, and a certificate that moves join them.
 
-    The moves are those of the module docstring's move graph: swap two
-    adjacent items that commute, or reverse a, mid, b for a pair with
-    mid.  True means the graph is connected.  False means undecided:
-    the local joins below did not suffice, and the graph may still be
-    connected.  The count is exact either way, and no arrangement is
-    listed.  The cap is that of capped_orders.
+    True means the move graph is connected; False means undecided, as
+    the local joins below did not suffice.  The count is exact either
+    way, and no arrangement is listed.  The cap is that of capped_orders.
 
     A placed set is live when it extends to the full set.  One pass
     back from the full set keeps only the steps into live sets and
     counts the paths from each live set to the full one; the count is
     that of the empty set.  At each live set S, two first steps a and
-    b toward live sets are joined by a square, when a and b commute,
-    a b and b a are both placed from S and S + a + b is live, or by a
-    hexagon, for a pair (a, b, mid) with a mid b and b mid a both
-    placed from S and S + a + b + mid live.  A square gives arrangements S a b ... and
-    S b a ... one move apart, a hexagon S a mid b ... and S b mid a ....
-    If the joins connect the first steps at every live set, then by
-    induction on the unplaced items every two completions of S are
-    joined by moves, so at the empty set every two arrangements are.
+    b are joined by a square, when a and b commute, a b and b a are
+    both placed from S and S + a + b is live, or by a hexagon, for a
+    pair (a, b, mid) with a mid b and b mid a both placed from S and
+    S + a + b + mid live.  Either gives two completions of S one move
+    apart, so if the joins connect the first steps at every live set,
+    then by induction on the unplaced items every two completions of
+    S are joined by moves, and at the empty set every two arrangements.
     """
     pairs = list(pairs)
     ordered = _capped(items, max_items)
@@ -186,14 +182,7 @@ def moves_connected(
         if live:
             paths[placed] = total
     count = paths.get(0, 0)
-    bits = {item: 1 << p for p, item in enumerate(ordered)}
-    commuting = {
-        bit: sum(other for y, other in bits.items() if commute(x, y))
-        for x, bit in bits.items()
-    }
-    hexagons = [
-        (bits[a], bits[b], bits[mid]) for a, b, mid, _, _ in pairs if mid is not None
-    ]
+    _, commuting, hexagons = _move_rule(ordered, pairs, commute)
     # every step kept leads to a live set, so the moves below end in live sets
     for placed in paths:
         first = steps[placed]
@@ -204,19 +193,106 @@ def moves_connected(
             for b in _bits_of(first & commuting[a] & ~(2 * a - 1)):
                 if steps[placed | a] & b and steps[placed | b] & a:
                     joins.append(a | b)
-        for a, b, mid in hexagons:
+        for ends, mid in hexagons:
+            if first & ends != ends:
+                continue
+            a = ends & -ends
+            b = ends ^ a
             if (
-                first & a
-                and first & b
-                and steps[placed | a] & mid
+                steps[placed | a] & mid
                 and steps[placed | a | mid] & b
                 and steps[placed | b] & mid
                 and steps[placed | b | mid] & a
             ):
-                joins.append(a | b)
+                joins.append(ends)
         if not _joined(first, joins):
             return count, False
     return count, True
+
+
+def connectivity(
+    items: Iterable[Item], pairs: Iterable[Pair], max_items: int | None, commute: Commute
+) -> tuple[int, bool]:
+    """How many compatible arrangements, and do moves join them all?
+
+    Exact: moves_connected counts and certifies without listing; where
+    it is undecided, the arrangements are listed under the same cap,
+    counted and searched by connected_by_moves.
+    """
+    items, pairs = list(items), list(pairs)
+    count, certified = moves_connected(items, pairs, max_items, commute)
+    if certified:
+        return count, True
+    listed = capped_orders(items, pairs, max_items)
+    return len(listed), connected_by_moves(listed, pairs, commute)
+
+
+def moves(order: Arrangement, pairs: Iterable[Pair], commute: Commute) -> Iterator[Arrangement]:
+    """Every arrangement one move away from order, compatible or not.
+
+    First the swaps of adjacent items that commute, then the reversals
+    of a, mid, b for a pair with mid, each by position.  Distinct moves
+    change different positions, so none repeats.
+    """
+    return _moves(order, _move_rule(order, pairs, commute))
+
+
+def connected_by_moves(
+    arrangements: Iterable[Arrangement], pairs: Iterable[Pair], commute: Commute
+) -> bool:
+    """Do moves inside the given arrangements of the same items join them?
+
+    One search removes each arrangement it reaches from the set of the
+    given ones, storing no edge; they are joined iff the set empties.
+    """
+    unreached = set(arrangements)
+    stack = [unreached.pop()] if unreached else []
+    rule = stack and _move_rule(stack[0], pairs, commute)
+    while stack:
+        for u in _moves(stack.pop(), rule):
+            if u in unreached:
+                unreached.remove(u)
+                stack.append(u)
+    return not unreached
+
+
+def move_edges(
+    arrangements: list[Arrangement], pairs: Iterable[Pair], commute: Commute
+) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of moves between listed arrangements, by i then by move."""
+    rule = arrangements and _move_rule(arrangements[0], pairs, commute)
+    index = {v: i for i, v in enumerate(arrangements)}
+    return [
+        (i, j) for i, v in enumerate(arrangements) for u in _moves(v, rule)
+        if i < (j := index.get(u, -1))
+    ]
+
+
+def _move_rule(items, pairs: Iterable[Pair], commute: Commute) -> tuple[dict, dict, set]:
+    """The moves over distinct items, item p with bit 1 << p, read once.
+
+    Returns the bits; for each bit, the mask of the items it commutes
+    with; and for each pair with mid, the bits of a | b and of mid.
+    The pairs must name the items.
+    """
+    bits = {item: 1 << p for p, item in enumerate(items)}
+    commuting = {
+        bit: sum(other for y, other in bits.items() if commute(x, y)) for x, bit in bits.items()
+    }
+    hexagons = {(bits[a] | bits[b], bits[mid]) for a, b, mid, _, _ in pairs if mid is not None}
+    return bits, commuting, hexagons
+
+
+def _moves(order: Arrangement, rule) -> Iterator[Arrangement]:
+    """moves(order, ...) under a rule from _move_rule."""
+    bits, commuting, hexagons = rule
+    at = [bits[x] for x in order]
+    for p in range(len(order) - 1):
+        if commuting[at[p]] & at[p + 1]:
+            yield order[:p] + (order[p + 1], order[p]) + order[p + 2 :]
+    for p in range(len(order) - 2):
+        if (at[p] | at[p + 2], at[p + 1]) in hexagons:
+            yield order[:p] + order[p : p + 3][::-1] + order[p + 3 :]
 
 
 def _bits_of(mask: int) -> list[int]:
@@ -304,7 +380,7 @@ def constrained_orders(
     Pairs naming unknown items are rejected.
     """
     ordered = _capped(items, None)
-    listed: list[tuple[Item, ...]] = []
+    listed: list[Arrangement] = []
     _extend(dict(_reach(ordered, pairs)), (1 << len(ordered)) - 1, 0, (), listed)
     return listed
 

@@ -17,10 +17,12 @@ For smooth w, multiplying the arrangement of the full set below w gives
 w back, and both the prefix products and the reversed-word prefix
 products walk saturated chains in Bruhat order.  This module constructs
 such an arrangement wedge by wedge, verifies arbitrary arrangements,
-enumerates all compatible arrangements, and explores the elementary-move
-graph on them.  order_verdicts checks every compatible arrangement
-without listing any, by folding both chains over the sets of placed
-reflections.
+and enumerates all compatible arrangements.  order_verdicts checks
+every compatible arrangement without listing any, by folding both
+chains over the sets of placed reflections.  The elementary-move graph
+on them is ordering_engine's move graph: this module supplies only the
+pairs and the commute rule, disjoint reflections (_disjoint), which is
+orthogonality of their roots.
 
 Every chain step is a right product x -> x * T(i, j) with i < j, which
 swaps positions i and j of the window.  The step-cover rule: x is
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from . import bruhat
+from . import bruhat, ordering_engine
 from .admissible import (
     AdmissibleSet,
     _wedges,
@@ -51,7 +53,8 @@ from .ordering_engine import (
     capped_orders,
     fold_orders,
     is_compatible_order,
-    moves_connected,
+    move_edges,
+    moves,
 )
 from .permutations import (
     Transposition,
@@ -277,31 +280,18 @@ def _chain(n: int, steps: ReflectionOrder) -> tuple[Window, ...]:
     return tuple(chain)
 
 
-def _moves(order: ReflectionOrder):
-    """Every arrangement one elementary move away, compatible or not.
+def elementary_neighbors(order: ReflectionOrder, A: AdmissibleSet) -> list[ReflectionOrder]:
+    """Arrangements one elementary move away that stay compatible.
 
-    Moves: swap two adjacent disjoint reflections T(i, j), T(k, l);
-    reverse three consecutive reflections T(x, y), T(x, z), T(y, z) or
-    T(y, z), T(x, z), T(x, y), the long one in the middle.  Distinct
-    moves change different positions, so none repeats.
+    The order, compatible or not, must arrange exactly A's reflections:
+    the first is_compatible_order call raises ValueError otherwise.
     """
-    for p in range(len(order) - 1):
-        (i, j), (k, l) = order[p], order[p + 1]
-        if i != k and i != l and j != k and j != l:
-            yield order[:p] + (order[p + 1], order[p]) + order[p + 2 :]
-    for p in range(len(order) - 2):
-        a, (x, z), b = order[p : p + 3]
-        if (a[0] == x and b[1] == z and a[1] == b[0]) or (
-            b[0] == x and a[1] == z and b[1] == a[0]
-        ):
-            yield order[:p] + (b, (x, z), a) + order[p + 3 :]
-
-
-def elementary_neighbors(
-    order: ReflectionOrder, A: AdmissibleSet
-) -> list[ReflectionOrder]:
-    """Arrangements one elementary move away that stay compatible."""
-    return [cand for cand in _moves(order) if is_compatible(cand, A)]
+    pairs = list(reflection_pairs(A))
+    is_compatible_order(order, A.reflections, pairs)
+    return [
+        u for u in moves(order, pairs, _disjoint)
+        if is_compatible_order(u, A.reflections, pairs)
+    ]
 
 
 def order_graph(
@@ -309,23 +299,14 @@ def order_graph(
 ) -> tuple[list[ReflectionOrder], list[tuple[int, int]]]:
     """Vertices (all compatible arrangements) and elementary-move edges.
 
-    A move landing on a vertex is compatible, so no pair rule is re-run.
-    Only the DOT export needs the edges; connected_by_moves stores none.
+    Only the DOT export needs the edges; connectivity stores none.
     """
-    vertices = enumerate_compatible_orders(A, max_reflections)
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, v in enumerate(vertices):
-        for u in _moves(v):
-            j = index.get(u, -1)
-            if i < j:
-                edges.append((i, j))
-    return vertices, edges
+    pairs = list(reflection_pairs(A))
+    vertices = capped_orders(A.reflections, pairs, max_reflections)
+    return vertices, move_edges(vertices, pairs, _disjoint)
 
 
-def order_graph_dot(
-    vertices: list[ReflectionOrder], edges: list[tuple[int, int]]
-) -> str:
+def order_graph_dot(vertices: list[ReflectionOrder], edges: list[tuple[int, int]]) -> str:
     """DOT source for an order_graph, with arrangements as labels."""
     lines = ["graph orders {"]
     for v in vertices:
@@ -341,20 +322,12 @@ def connectivity(
 ) -> tuple[int, bool]:
     """How many compatible arrangements, and does the move graph join them?
 
-    ordering_engine.moves_connected counts the arrangements and
-    certifies the graph from local squares (disjoint reflections
-    commute) and hexagons (the pairs with a long reflection) in one
-    walk, without listing.  Where the certificate is undecided, the
-    arrangements are listed, counted and searched by connected_by_moves,
-    which is exact.  Both are refused over max_reflections as
-    enumerate_compatible_orders is.
+    ordering_engine.connectivity on A's pairs, disjoint reflections
+    commuting.  Refused over max_reflections as listing is.
     """
-    pairs = list(reflection_pairs(A))
-    count, certified = moves_connected(A.reflections, pairs, max_reflections, _disjoint)
-    if certified:
-        return count, True
-    listed = capped_orders(A.reflections, pairs, max_reflections)
-    return len(listed), connected_by_moves(listed)
+    return ordering_engine.connectivity(
+        A.reflections, reflection_pairs(A), max_reflections, _disjoint
+    )
 
 
 def graph_connected(
@@ -370,22 +343,6 @@ def graph_connected(
 def _disjoint(s: Transposition, t: Transposition) -> bool:
     """Do T(i, j) and T(k, l) move disjoint positions, so commute?"""
     return not set(s) & set(t)
-
-
-def connected_by_moves(orders) -> bool:
-    """Do elementary moves inside the given arrangements join them all?
-
-    One search removes each arrangement it reaches from the set of the
-    given ones, storing no edge; they are joined iff the set empties.
-    """
-    unreached = set(orders)
-    stack = [unreached.pop()] if unreached else []
-    while stack:
-        for u in _moves(stack.pop()):
-            if u in unreached:
-                unreached.remove(u)
-                stack.append(u)
-    return not unreached
 
 
 @dataclass(frozen=True)
@@ -424,28 +381,15 @@ def smoothness_report(w: Window) -> SmoothnessReport:
     excess of reflections below w over the length.
     """
     smooth = is_smooth_pattern(w)
-    refl_count = len(c_t(w))
-    lw = length(w)
-    if smooth:
-        order = construct_compatible_order(w)
-        return SmoothnessReport(
-            window=w,
-            smooth=True,
-            length=lw,
-            reflections_below=refl_count,
-            pattern_name=None,
-            pattern_positions=None,
-            order=order,
-            verification=verify_order(w, order),
-        )
-    name, positions = smoothness_witness(w)
+    order = construct_compatible_order(w) if smooth else None
+    name, positions = (None, None) if smooth else smoothness_witness(w)
     return SmoothnessReport(
         window=w,
-        smooth=False,
-        length=lw,
-        reflections_below=refl_count,
+        smooth=smooth,
+        length=length(w),
+        reflections_below=len(c_t(w)),
         pattern_name=name,
         pattern_positions=positions,
-        order=None,
-        verification=None,
+        order=order,
+        verification=None if order is None else verify_order(w, order),
     )

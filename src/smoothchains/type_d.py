@@ -172,16 +172,10 @@ def reflection_window(alpha: Root, n: int) -> SignedWindow:
     return tuple(out)
 
 
-def reflection_swap(t: SignedWindow) -> tuple[int, int, bool]:
-    """(i, j, flip) of a reflection window: the 0-based positions i < j
-    it moves, and whether it negates them (t is t_alpha, alpha = e_j + e_i)."""
-    i, j = (p for p, v in enumerate(t) if abs(v) != p + 1)
-    return i, j, t[i] < 0
-
-
 def times_swap(x: SignedWindow, swap: tuple[int, int, bool]) -> SignedWindow:
-    """x * t for swap == reflection_swap(t): positions i and j of x trade
-    values, both negated when flip."""
+    """x * t_alpha for swap = (i - 1, j - 1, flip), alpha = e_j + e_i if
+    flip else e_j - e_i: positions i and j of x trade values, both
+    negated when flip."""
     i, j, flip = swap
     out = list(x)
     out[i], out[j] = (-x[j], -x[i]) if flip else (x[j], x[i])
@@ -200,8 +194,9 @@ class WeylGroupD:
     never has w's length, so with ids in length order, w * t is shorter
     iff its id is smaller: the downset bitmask of w is its own bit OR
     those of its reflection neighbours with smaller ids, in one pass.
-    swaps (alpha -> (i, j, flip) of t_alpha) serves this build and the
-    fold of check_element; label_tables places the labels among the ids.
+    swaps (alpha -> times_swap's (i, j, flip) of t_alpha, read off
+    _indices(alpha)) serves this build and the fold of check_element;
+    label_tables places the labels among the ids.
     """
 
     def __init__(self, rank: int):
@@ -222,7 +217,8 @@ class WeylGroupD:
         self.index: dict[SignedWindow, int] = {w: i for i, w in enumerate(self.windows)}
         self.max_length = max(self.lengths)
 
-        self.swaps = {a: reflection_swap(product_of_root_order((a,), rank)) for a in positive_roots(rank)}
+        indices = {a: _indices(a) for a in positive_roots(rank)}
+        self.swaps = {a: (i - 1, j - 1, sign == 1) for a, (i, j, sign) in indices.items()}
         below = []
         for j, w in enumerate(self.windows):
             mask = 1 << j
@@ -332,12 +328,10 @@ def c23_labels(n: int) -> tuple[Label, ...]:
 
 
 def realize_label(label: Label, n: int) -> SignedWindow:
-    kind = label[0]
-    if kind == "t":
-        return reflection_window(label[1], n)
-    if kind == "tt":
-        return compose(reflection_window(label[1], n), reflection_window(label[2], n))
-    raise ValueError(f"bad label: {label!r}")
+    """t_alpha, or t_alpha t_beta, as a signed window."""
+    if label[0] not in ("t", "tt"):
+        raise ValueError(f"bad label: {label!r}")
+    return product_of_root_order(label[1:], n)
 
 
 def label_text(label: Label) -> str:

@@ -217,6 +217,28 @@ def reference_moves(order) -> list[tuple]:
     return out
 
 
+def moves_by_rule(order, pairs, commute) -> list[tuple]:
+    """One-move neighbours of an arrangement, read off the pairs.
+
+    First the swaps of adjacent items that commute, then the reversals
+    of a, mid, b for a pair with mid (either orientation), by position.
+    """
+    hexagons = set()
+    for a, b, mid, _, _ in pairs:
+        if mid is not None:
+            hexagons |= {(a, mid, b), (b, mid, a)}
+    swapped = [
+        order[:p] + (order[p + 1], order[p]) + order[p + 2 :]
+        for p in range(len(order) - 1)
+        if commute(order[p], order[p + 1])
+    ]
+    return swapped + [
+        order[:p] + order[p : p + 3][::-1] + order[p + 3 :]
+        for p in range(len(order) - 2)
+        if order[p : p + 3] in hexagons
+    ]
+
+
 # ------------------------------------------- ground set, wedges, ideals
 
 def ground_labels(n: int) -> list[tuple]:
@@ -276,6 +298,20 @@ def wedges_by_definition(members: frozenset) -> list[tuple[int, int]]:
         and ("T", e[1] - 1, e[1]) not in members
         and ("R", e[1], e[2], e[2] + 1) not in members
     )
+
+
+def wedge_window_test(w: tuple[int, ...], i: int, j: int) -> bool:
+    """Window-level wedge test for the full set below w.
+
+    (i, j) is a wedge of c23(w) iff w maps {1..i-1} onto itself,
+    w(i) >= j, and w^{-1}(i) = j.
+    """
+    n = len(w)
+    if not 1 <= i < j <= n:
+        raise ValueError(f"bad wedge indices ({i}, {j}) for degree {n}")
+    if set(w[: i - 1]) != set(range(1, i)):
+        return False
+    return w[i - 1] >= j and w.index(i) + 1 == j
 
 
 def invert_labels(members: frozenset) -> frozenset:
@@ -425,6 +461,13 @@ def d_cover_pairs_oracle(group) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
             if length_by_roots(x) == ly - 1:
                 pairs.add((x, y))
     return pairs
+
+
+def window_swap(t: tuple[int, ...]) -> tuple[int, int, bool]:
+    """(i, j, flip) read off a reflection window: the 0-based positions
+    i < j it moves, and whether it negates them."""
+    i, j = (p for p, v in enumerate(t) if abs(v) != p + 1)
+    return i, j, t[i] < 0
 
 
 def root_reflection_image(alpha, beta):

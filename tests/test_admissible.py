@@ -20,6 +20,7 @@ from oracles import (
     interval_rank_counts,
     invert_labels,
     member_texts,
+    wedge_window_test,
     wedges_by_definition,
 )
 from smoothchains.admissible import (
@@ -41,7 +42,6 @@ from smoothchains.admissible import (
     restrict,
     smoothness_witness,
     validate_element,
-    wedge_window_test,
 )
 from smoothchains.bruhat import leq, rank_matrix
 from smoothchains.permutations import (

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothchains import cli, orders
+from smoothchains import cli, ordering_engine, orders
 from smoothchains.admissible import is_smooth_pattern
 from smoothchains.cli import main
 from smoothchains.permutations import all_windows
@@ -417,7 +417,8 @@ def test_graph_connectivity_sweep_lists_no_arrangement(capsys, monkeypatch):
     for module in (cli, orders):
         monkeypatch.setattr(module, "enumerate_compatible_orders", refuse)
     monkeypatch.setattr(orders, "capped_orders", refuse)
-    monkeypatch.setattr(orders, "connected_by_moves", refuse)
+    monkeypatch.setattr(ordering_engine, "capped_orders", refuse)
+    monkeypatch.setattr(ordering_engine, "connected_by_moves", refuse)
     code, payload = run_json(capsys, "sweep", "--mode", "graph-connectivity", "--n", "5")
     assert code == 0
     assert payload["counters"] == {"checked": 88, "orders": 1517}
@@ -440,7 +441,7 @@ def test_graph_connectivity_sweep_falls_back_to_the_listing(capsys, monkeypatch)
     # gives the same report
     argv = ["sweep", "--mode", "graph-connectivity", "--n", "5"]
     expected = run_json(capsys, *argv)
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
+    monkeypatch.setattr(ordering_engine, "moves_connected", lambda *args: (0, False))
     assert run_json(capsys, *argv) == expected
 
 
@@ -452,8 +453,8 @@ def test_smooth_windows_grow_by_inserting_the_maximum(n):
 def test_sweep_reports_graph_disconnected(capsys, monkeypatch):
     # 321 is the one window of S3 with two arrangements; with the
     # certificate undecided the sweep falls back to the listing's search
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
-    monkeypatch.setattr(orders, "connected_by_moves", lambda orders: len(orders) < 2)
+    monkeypatch.setattr(ordering_engine, "moves_connected", lambda *args: (0, False))
+    monkeypatch.setattr(ordering_engine, "connected_by_moves", lambda listed, *rule: len(listed) < 2)
     out, found = _one_violation(capsys, ["sweep", "--mode", "graph-connectivity", "--n", "3"])
     assert found == [{"window": "321", "kind": "graph-disconnected"}]
     assert "VIOLATION 321: graph-disconnected\n" in out

@@ -6,12 +6,15 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import d_label_ideals, ground_ideals
+from oracles import d_label_ideals, ground_ideals, moves_by_rule
 from smoothchains.admissible import c23, is_smooth_pattern, make_set, reflection_pairs
 from smoothchains.ordering_engine import (
     capped_orders,
+    connected_by_moves,
+    connectivity,
     fold_orders,
     is_compatible_order,
+    moves,
     moves_connected,
 )
 from smoothchains.permutations import all_windows, compose, identity, times_transposition
@@ -217,25 +220,10 @@ def test_certificate_over_no_arrangement_is_vacuous_and_capped():
 def _joined_by_moves(arrangements, pairs, commute) -> bool:
     # search over the listed arrangements: swap adjacent commuting
     # items, reverse a, mid, b of a pair with mid
-    hexagons = set()
-    for a, b, mid, _, _ in pairs:
-        if mid is not None:
-            hexagons |= {(a, mid, b), (b, mid, a)}
     unreached = set(arrangements)
     stack = [unreached.pop()] if unreached else []
     while stack:
-        x = stack.pop()
-        moved = [
-            x[:p] + (x[p + 1], x[p]) + x[p + 2 :]
-            for p in range(len(x) - 1)
-            if commute(x[p], x[p + 1])
-        ]
-        moved += [
-            x[:p] + x[p : p + 3][::-1] + x[p + 3 :]
-            for p in range(len(x) - 2)
-            if x[p : p + 3] in hexagons
-        ]
-        for y in moved:
+        for y in moves_by_rule(stack.pop(), pairs, commute):
             if y in unreached:
                 unreached.remove(y)
                 stack.append(y)
@@ -269,5 +257,11 @@ def test_certificate_never_certifies_a_disconnected_graph():
         assert count == len(listed), (items, pairs)
         connected = _joined_by_moves(listed, pairs, commute)
         assert connected or not certified, (items, pairs, commuting)
+        # the exact verdict and the engine's search and moves agree with
+        # the reference, certified or not
+        assert connectivity(items, pairs, None, commute) == (count, connected)
+        assert connected_by_moves(listed, pairs, commute) == connected
+        for x in listed:
+            assert list(moves(x, pairs, commute)) == moves_by_rule(x, pairs, commute)
         seen[certified, connected] += 1
     assert seen == {(True, True): 626, (False, False): 374}

@@ -15,7 +15,7 @@ from oracles import (
     reference_verify_order,
     wedges_by_definition,
 )
-from smoothchains import bruhat, orders
+from smoothchains import bruhat, ordering_engine, orders
 from smoothchains.admissible import (
     admissibility_violation,
     c23,
@@ -27,13 +27,11 @@ from smoothchains.admissible import (
     reflection_pairs,
     restrict,
 )
-from smoothchains.ordering_engine import moves_connected
+from smoothchains.ordering_engine import connected_by_moves, moves, moves_connected
 from smoothchains.orders import (
     NotSmoothError,
     Verdict,
     _disjoint,
-    _moves,
-    connected_by_moves,
     construct_compatible_order,
     construct_for_set,
     elementary_neighbors,
@@ -463,8 +461,10 @@ def test_verify_order_matches_reference_where_chains_break(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_moves_match_reference_on_listed_orders(n):
     for w in smooth_windows(n):
-        for order in enumerate_compatible_orders(c23(w), None):
-            assert list(_moves(order)) == reference_moves(order), order
+        A = c23(w)
+        pairs = list(reflection_pairs(A))
+        for order in enumerate_compatible_orders(A, None):
+            assert list(moves(order, pairs, _disjoint)) == reference_moves(order), order
 
 
 def test_remark_arrangement_multiplies_back_but_breaks_saturation():
@@ -502,6 +502,14 @@ def test_elementary_neighbors_golden_321():
     A = c23(parse("321"))
     order = ((2, 3), (1, 3), (1, 2))
     assert elementary_neighbors(order, A) == [((1, 2), (1, 3), (2, 3))]
+
+
+@pytest.mark.parametrize("order", [((3, 4),), ((1, 2), (3, 4))])
+def test_elementary_neighbors_refuses_an_order_of_other_reflections(order):
+    # T(1, 2) is the one reflection below 2134: the mismatch is refused
+    # up front, whether or not the order has a move
+    with pytest.raises(ValueError, match="arrangement does not match the reflection members"):
+        elementary_neighbors(order, c23(parse("2134")))
 
 
 def test_elementary_moves_preserve_everything_on_smooth_s4():
@@ -554,7 +562,8 @@ def test_certificate_decides_every_smooth_window(n, cap, decided):
         count, certified = _certificate(A, cap)
         assert certified, w
         assert count == sum(order_verdicts(w, cap).values()), w
-        assert graph_connected(A, cap) == connected_by_moves(enumerate_compatible_orders(A, cap))
+        listed = enumerate_compatible_orders(A, cap)
+        assert graph_connected(A, cap) == connected_by_moves(listed, reflection_pairs(A), _disjoint)
         found += 1
     assert found == decided
 
@@ -570,10 +579,12 @@ def test_certificate_decides_every_smooth_window_of_s7_and_s8(n, size):
 
 def test_undecided_certificate_falls_back_to_the_listing(monkeypatch):
     searched = []
-    real = orders.connected_by_moves
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
+    real = ordering_engine.connected_by_moves
+    monkeypatch.setattr(ordering_engine, "moves_connected", lambda *args: (0, False))
     monkeypatch.setattr(
-        orders, "connected_by_moves", lambda listed: searched.append(listed) or real(listed)
+        ordering_engine,
+        "connected_by_moves",
+        lambda listed, *rule: searched.append(listed) or real(listed, *rule),
     )
     for w in smooth_windows(4):
         A = c23(w)
@@ -581,7 +592,7 @@ def test_undecided_certificate_falls_back_to_the_listing(monkeypatch):
         assert searched.pop() == enumerate_compatible_orders(A)
     # two arrangements with no move between them: the listing's exact answer
     apart = [((1, 2), (2, 3), (1, 3)), ((1, 3), (1, 2), (2, 3))]
-    monkeypatch.setattr(orders, "capped_orders", lambda *args: apart)
+    monkeypatch.setattr(ordering_engine, "capped_orders", lambda *args: apart)
     assert graph_connected(c23(parse("321"))) is False
 
 
@@ -591,7 +602,7 @@ def test_graph_connected_refuses_over_the_cap_as_listing_does(monkeypatch):
         enumerate_compatible_orders(c23(w), 9)
     with pytest.raises(ValueError) as certified:
         graph_connected(c23(w), 9)
-    monkeypatch.setattr(orders, "moves_connected", lambda *args: (0, False))
+    monkeypatch.setattr(ordering_engine, "moves_connected", lambda *args: (0, False))
     with pytest.raises(ValueError) as searched:
         graph_connected(c23(w), 9)
     assert str(certified.value) == str(searched.value) == str(listed.value)
@@ -637,11 +648,13 @@ def test_connected_by_moves_matches_order_graph_components(n):
     # fall apart
     rng = random.Random(n)
     for w in smooth_windows(n):
-        vertices, edges = order_graph(c23(w))
+        A = c23(w)
+        vertices, edges = order_graph(A)
         half = {i for i in range(len(vertices)) if rng.random() < 0.5}
         for keep in (set(range(len(vertices))), half):
             expect = _joined_by_edges(edges, keep)
-            assert connected_by_moves(vertices[i] for i in keep) == expect, (w, keep)
+            kept = (vertices[i] for i in keep)
+            assert connected_by_moves(kept, reflection_pairs(A), _disjoint) == expect, (w, keep)
 
 
 def test_connected_by_moves_without_a_joining_move():
@@ -649,10 +662,11 @@ def test_connected_by_moves_without_a_joining_move():
     # middle reflection is not the long one
     first = ((1, 2), (2, 3), (1, 3))
     second = ((1, 3), (1, 2), (2, 3))
-    assert list(_moves(first)) == list(_moves(second)) == []
-    assert connected_by_moves([first, second]) is False
-    assert connected_by_moves([first]) is True
-    assert connected_by_moves([]) is True
+    pairs = list(reflection_pairs(c23(parse("321"))))
+    assert list(moves(first, pairs, _disjoint)) == list(moves(second, pairs, _disjoint)) == []
+    assert connected_by_moves([first, second], pairs, _disjoint) is False
+    assert connected_by_moves([first], pairs, _disjoint) is True
+    assert connected_by_moves([], pairs, _disjoint) is True
 
 
 def test_order_graph_dot_is_syntactically_plausible():

@@ -4,6 +4,7 @@ import doctest
 import functools
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,23 @@ from oracles import (
     is_positive_root,
     leading_simple,
     length_by_roots,
+    moves_by_rule,
     root_reflection_image,
     simple_precedes,
     sp_inverse,
+    window_swap,
 )
 from smoothchains.admissible import c23, is_smooth_pattern
-from smoothchains.ordering_engine import fold_orders, is_compatible_order
+from smoothchains.ordering_engine import (
+    capped_orders,
+    connected_by_moves,
+    connectivity,
+    fold_orders,
+    is_compatible_order,
+    move_edges,
+    moves,
+    moves_connected,
+)
 from smoothchains.orders import enumerate_compatible_orders
 from smoothchains.permutations import all_windows, compose, identity
 from smoothchains.type_d import (
@@ -45,7 +57,6 @@ from smoothchains.type_d import (
     positive_roots,
     product_of_root_order,
     realize_label,
-    reflection_swap,
     reflection_window,
     root_poset_covers,
     roots_and_pairs,
@@ -245,15 +256,16 @@ def test_reflections_are_involutions_matching_the_formula():
 def test_swap_step_is_right_multiplication_by_the_reflection(n):
     for alpha in positive_roots(n):
         t = reflection_window(alpha, n)
-        swap = reflection_swap(t)
+        swap = weyl_group(n).swaps[alpha]
         for x in weyl_group(n).windows:
             assert times_swap(x, swap) == compose(x, t), (x, alpha)
 
 
 def test_reflection_swap_goldens():
     # e4-e2 swaps positions 2 and 4; e2+e1 also negates positions 1 and 2
-    assert reflection_swap(reflection_window(parse_root("e4-e2", 4), 4)) == (1, 3, False)
-    assert reflection_swap(reflection_window(parse_root("e2+e1", 4), 4)) == (0, 1, True)
+    swaps = weyl_group(4).swaps
+    assert swaps[parse_root("e4-e2", 4)] == (1, 3, False)
+    assert swaps[parse_root("e2+e1", 4)] == (0, 1, True)
     assert times_swap((3, -1, 4, 2), (0, 1, True)) == (1, -3, 4, 2)
 
 
@@ -592,7 +604,57 @@ def test_group_swap_table_matches_reflection_windows(rank):
     group = weyl_group(rank)
     assert list(group.swaps) == list(positive_roots(rank))
     for alpha, swap in group.swaps.items():
-        assert swap == reflection_swap(reflection_window(alpha, rank)), alpha
+        assert swap == window_swap(reflection_window(alpha, rank)), alpha
+
+
+@pytest.mark.parametrize("rank, count", [(2, 2), (3, 14), (4, 44), (5, 100)])
+def test_realize_label_is_the_product_of_its_roots(rank, count):
+    labels = c23_labels(rank)
+    assert len(labels) == count
+    for lab in labels:
+        windows = [reflection_window(alpha, rank) for alpha in lab[1:]]
+        expect = windows[0] if lab[0] == "t" else compose(*windows)
+        assert realize_label(lab, rank) == expect, lab
+    with pytest.raises(ValueError, match="bad label"):
+        realize_label(("ttt",) + labels[0][1:], rank)
+
+
+def _orthogonal(a, b):
+    return sum(x * y for x, y in zip(a, b)) == 0
+
+
+@pytest.mark.parametrize("rank, cap, listed, refused", [(3, None, 22, 0), (4, None, 108, 0), (5, 12, 469, 21)])
+def test_engine_connects_every_type_d_move_graph(rank, cap, listed, refused):
+    # orthogonal roots commute (the type A moves, read off the pairs):
+    # the exact verdict connects every graph, agreeing with the
+    # certificate, with a search over the listing and with its count;
+    # the engine's moves are the definitional ones, within the listing
+    # on every order and all of them on the first and last
+    group = weyl_group(rank)
+    found = Counter()
+    for w in smooth_elements(rank):
+        roots, pairs = roots_and_pairs(group, group.below[group.index[w]] & group.ground_mask)
+        if cap is not None and len(roots) > cap:
+            with pytest.raises(ValueError, match="exceed the enumeration cap"):
+                connectivity(roots, pairs, cap, _orthogonal)
+            found["refused"] += 1
+            continue
+        orders = capped_orders(roots, pairs, cap)
+        assert connectivity(roots, pairs, cap, _orthogonal) == (len(orders), True), w
+        assert moves_connected(roots, pairs, cap, _orthogonal) == (len(orders), True), w
+        assert connected_by_moves(orders, pairs, _orthogonal), w
+        index = {v: i for i, v in enumerate(orders)}
+        expect = [
+            (i, j)
+            for i, v in enumerate(orders)
+            for u in moves_by_rule(v, pairs, _orthogonal)
+            if i < (j := index.get(u, -1))
+        ]
+        assert move_edges(orders, pairs, _orthogonal) == expect, w
+        for order in (orders[0], orders[-1]):
+            assert list(moves(order, pairs, _orthogonal)) == moves_by_rule(order, pairs, _orthogonal)
+        found["listed"] += 1
+    assert (found["listed"], found["refused"]) == (listed, refused)
 
 
 @pytest.mark.parametrize("rank, smooth_count", [(3, 22), (4, 108), (5, 490)])
