@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -51,6 +53,7 @@ from smoothchains.permutations import (
     identity,
     inverse,
     parse,
+    times_transposition,
 )
 
 REMARK_WINDOW = parse("35142")
@@ -456,6 +459,164 @@ def test_verify_order_matches_reference_where_chains_break(n):
             breaks += report.prefix_first_break is not None
             breaks += report.suffix_first_break is not None
     assert breaks > 0
+
+
+def _mixed_calls(seed, count):
+    """(w, arrangement) calls over S1-S6 in the order verify_order gets them.
+
+    Each window gets a run of calls, each sharing a prefix with the one
+    before: consecutive listed orders, and arrangements of c_t(w) that
+    keep a random prefix of the previous one and shuffle the rest.  Most
+    of those are redrawn, up to 30 times, until they multiply to w, and
+    many of them still break a chain; the others mostly miss the
+    product.  Now and then a call on another window comes between.
+    """
+    rng = random.Random(seed)
+    windows = [tuple(w) for n in range(1, 7) for w in all_windows(n)]
+    calls = []
+    while len(calls) < count:
+        w = rng.choice(windows)
+        try:
+            listed = enumerate_compatible_orders(c23(w)) if is_smooth_pattern(w) else []
+        except ValueError:  # over the cap
+            listed = []
+        at = rng.randrange(len(listed)) if listed else 0
+        order = tuple(sorted(c_t(w)))
+        for _ in range(rng.randint(1, 12)):
+            if listed and rng.random() < 0.4:
+                order = listed[at % len(listed)]
+                at += 1
+            else:
+                to_w = rng.random() < 0.7
+                for _ in range(30):
+                    keep = rng.randint(0, len(order))
+                    tail = list(order[keep:])
+                    rng.shuffle(tail)
+                    drawn = order[:keep] + tuple(tail)
+                    if not to_w or _product(len(w), drawn) == w:
+                        break
+                order = drawn
+            calls.append((w, order))
+            if rng.random() < 0.1:
+                other = rng.choice(windows)
+                calls.append((other, tuple(sorted(c_t(other)))))
+    return calls
+
+
+def _product(n, order):
+    x = identity(n)
+    for t in order:
+        x = times_transposition(x, t)
+    return x
+
+
+def _assert_matches_reference(w, order):
+    report = verify_order(w, order)
+    expected, prefix, suffix = reference_verify_order(w, order)
+    assert report == expected, (w, order)
+    assert report.prefix_chain == prefix, (w, order)
+    assert report.suffix_chain == suffix, (w, order)
+    return report
+
+
+def test_verify_order_matches_reference_on_interleaved_calls():
+    # consecutive calls on one window resume from the previous walk
+    seen = Counter()
+    for w, order in _mixed_calls(24, 3000):
+        report = _assert_matches_reference(w, order)
+        seen["product fails", report.prefix_saturated] += not report.product_ok
+        if report.product_ok:  # the suffix read off the forward walk
+            seen["prefix breaks"] += not report.prefix_saturated
+            seen["suffix breaks"] += not report.suffix_saturated
+        seen["all ok"] += report.all_ok
+    assert min(seen.values()) >= 50, seen
+
+
+def test_verify_order_does_not_reuse_verdicts_of_another_cover_rule(monkeypatch):
+    real = bruhat.swap_covers
+
+    def broken(x, i, j):  # also fails some true covers
+        return real(x, i, j) and not (j - i == 2 and x[i - 1] == 1)
+
+    rng = random.Random(7)
+    rules = [real, broken]
+    differ = 0
+    previous = None
+    for w, order in _mixed_calls(25, 2000):
+        if rng.random() < 0.3:
+            rules.reverse()
+            monkeypatch.setattr(bruhat, "swap_covers", rules[0])
+        report = _assert_matches_reference(w, order)
+        if previous == w:
+            monkeypatch.setattr(bruhat, "swap_covers", rules[1])
+            differ += report != reference_verify_order(w, order)[0]
+            monkeypatch.setattr(bruhat, "swap_covers", rules[0])
+        previous = w
+    assert differ >= 50
+
+
+def test_verify_order_after_a_raising_cover_rule(monkeypatch):
+    real = bruhat.swap_covers
+    calls_left = [None]  # raise once this many calls are made
+
+    def flaky(x, i, j):
+        if calls_left[0] is not None:
+            if calls_left[0] == 0:
+                raise RuntimeError("cover rule failed")
+            calls_left[0] -= 1
+        return real(x, i, j)
+
+    w = parse("54321")
+    listed = enumerate_compatible_orders(c23(w))
+    monkeypatch.setattr(bruhat, "swap_covers", flaky)
+    for first, second, third in zip(listed[::3], listed[1::3], listed[2::3]):
+        _assert_matches_reference(w, first)
+        # second differs from first in two or more steps, so four or more
+        # cover tests: the fourth raises partway through the walk
+        calls_left[0] = 3
+        with pytest.raises(RuntimeError):
+            verify_order(w, second)
+        calls_left[0] = None
+        _assert_matches_reference(w, third)
+    monkeypatch.setattr(bruhat, "swap_covers", real)
+    _assert_matches_reference(w, listed[-1])
+
+
+def test_verify_order_from_more_threads_than_cores():
+    # threads share the kept walk: each listing, verified in order by two
+    # threads at once among others, gets the reports one thread gets alone
+    windows = [parse(p) for p in ("54321", "45321", "54312", "4321")] * 2
+    listings = {w: enumerate_compatible_orders(c23(w)) * 5 for w in windows}
+    alone = {w: [verify_order(w, order) for order in listings[w]] for w in listings}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(windows)) as pool:
+            futures = [
+                pool.submit(lambda w: [verify_order(w, order) for order in listings[w]], w)
+                for w in windows
+            ]
+            shared = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert shared == [alone[w] for w in windows]
+
+
+def test_verify_order_walks_only_the_steps_a_listed_order_does_not_share(monkeypatch):
+    real = bruhat.swap_covers
+    calls = [0]
+
+    def counting(x, i, j):
+        calls[0] += 1
+        return real(x, i, j)
+
+    monkeypatch.setattr(bruhat, "swap_covers", counting)
+    w = parse("54321")
+    listed = enumerate_compatible_orders(c23(w))
+    assert len(listed) == 768
+    assert all(verify_order(w, order).all_ok for order in listed)
+    # two whole walks of 10 steps each would make 15,360 calls
+    assert calls[0] <= 6120
 
 
 @pytest.mark.parametrize("n", range(1, 6))
