@@ -11,20 +11,24 @@ which in this simply laced type is smoothness), the set of reflections
 and ordered two-reflection products below w is admissible, admits a
 compatible arrangement of its reflections, and every compatible
 arrangement multiplies back to w.  The summable root pairs of a set
-(roots_and_pairs, bit tests of its id mask against a table built once
-per rank) are all this module hands ordering_engine, whose pair rule
-is compatibility; the two pair axioms of admissibility are read off
-the same pairs.  The product axiom is the same-decomposition rule:
+(columns_and_pairs, bit tests of its id mask against a table built
+once per rank) are all this module hands ordering_engine, whose pair
+rule is compatibility; the two pair axioms of admissibility are read
+off the same pairs.  The product axiom is the same-decomposition rule:
 t_a t_b and t_b t_a both in A force t_{a+b}.  (Type A's cycle-pair
 axiom is the cross-decomposition rule; its type D analogue fails on
 smooth elements of rank 4.)
 
-check_element builds no label set and lists no arrangement: it reads
-its roots and pairs off w's downset bitmask (roots_and_pairs) and
-folds the prefix products over the sets of placed reflections
-(fold_orders), each step x * t_alpha a swap from the group's table
-(times_swap).  admissibility_violation_d and enumerate_compatible_orders_d
-read a label set, such as c23_below's, through its id mask (label_mask).
+check_element builds no label set, lists no arrangement and, past w's
+own id, reads no window: it reads its reflections, as columns of
+positive_roots, and their pairs off w's downset bitmask
+(columns_and_pairs) and folds the prefix products over the sets of
+placed reflections (fold_orders) on element ids, each step
+x * t_alpha one entry of the group's table (times[x][column of
+alpha]).  admissibility_violation_d and enumerate_compatible_orders_d
+read a label set, such as c23_below's, through its id mask
+(label_mask); roots_and_pairs names the columns' roots for the
+listing.
 """
 
 from __future__ import annotations
@@ -195,7 +199,9 @@ class WeylGroupD:
     iff its id is smaller: the downset bitmask of w is its own bit OR
     those of its reflection neighbours with smaller ids, in one pass.
     swaps (alpha -> times_swap's (i, j, flip) of t_alpha, read off
-    _indices(alpha)) serves this build and the fold of check_element;
+    _indices(alpha)) serves this build, which keeps each neighbour's id
+    as times[id][k], k the column of alpha in positive_roots: the right
+    multiplication table by reflections that check_element folds over.
     label_tables places the labels among the ids.
     """
 
@@ -219,15 +225,25 @@ class WeylGroupD:
 
         indices = {a: _indices(a) for a in positive_roots(rank)}
         self.swaps = {a: (i - 1, j - 1, sign == 1) for a, (i, j, sign) in indices.items()}
+        # times[x][k]: the id of x * t_alpha, alpha the k-th positive root.
+        # t_alpha is an involution, so computing x * t_alpha = y also gives
+        # y * t_alpha = x: row j arrives with its shorter neighbours, whose
+        # downsets it takes, filled in, and swaps only for the longer ones.
+        index, swaps = self.index, list(self.swaps.values())
+        times = [[None] * len(swaps) for _ in self.windows]
         below = []
         for j, w in enumerate(self.windows):
+            row = times[j]
             mask = 1 << j
-            for swap in self.swaps.values():
-                i = self.index[times_swap(w, swap)]
-                if i < j:
+            for k, i in enumerate(row):
+                if i is None:
+                    i = row[k] = index[times_swap(w, swaps[k])]
+                    times[i][k] = j
+                else:
                     mask |= below[i]
             below.append(mask)
         self.below: tuple[int, ...] = tuple(below)
+        self.times: list[list[int]] = times
         # ids are sorted by length, so length d owns the id range [start, end)
         starts = [bisect_left(self.lengths, d) for d in range(self.max_length + 2)]
         self._level_masks: tuple[int, ...] = tuple(
@@ -264,22 +280,38 @@ class WeylGroupD:
     @cached_property
     def label_tables(self) -> tuple[tuple, tuple, tuple]:
         """(reflections, pairs, labels), the ids check_element tests on a
-        downset: (alpha, id of t_alpha) in root order; each
-        _summable_root_pairs row as a, b, a + b and its five label ids;
-        (label, id) sorted by label."""
+        downset: the id of t_alpha for each column, alpha's position in
+        positive_roots (times' column); each _summable_root_pairs row as
+        the mask of the ids of t_a and t_b, the columns of a, b and a + b,
+        and the ids of t_{a+b}, t_a t_b and t_b t_a; (label, id) sorted by
+        label."""
         ids = self.label_ids
-        reflections = tuple((a, ids["t", a]) for a in positive_roots(self.rank))
-        rows = _summable_root_pairs(self.rank)
-        pairs = tuple((a, b, gamma, *(ids[lab] for lab in labs)) for a, b, gamma, *labs in rows)
-        return reflections, pairs, tuple(sorted(ids.items()))
+        pos = positive_roots(self.rank)
+        column = {a: k for k, a in enumerate(pos)}
+        pairs = tuple(
+            ((1 << ids[ta]) | (1 << ids[tb]), column[a], column[b], column[gamma],
+             ids[tg], ids[ab], ids[ba])
+            for a, b, gamma, ta, tb, tg, ab, ba in _summable_root_pairs(self.rank)
+        )
+        return tuple(ids["t", a] for a in pos), pairs, tuple(sorted(ids.items()))
+
+    def id_of(self, w: SignedWindow) -> int:
+        """The id of w, refusing a window that is not an element of the group."""
+        i = self.index.get(w)
+        if i is None:
+            raise ValueError(
+                f"{w} is not an element of W(D{self.rank}): a rank {self.rank} "
+                "signed window with evenly many sign flips"
+            )
+        return i
 
     def length_of(self, w: SignedWindow) -> int:
-        return self.lengths[self.index[w]]
+        return self.lengths[self.id_of(w)]
 
     def interval_rank_counts(self, w: SignedWindow) -> tuple[int, ...]:
         """Sizes of the length-graded pieces of [e, w]."""
-        mask = self.below[self.index[w]]
-        top = self.length_of(w)
+        i = self.id_of(w)
+        mask, top = self.below[i], self.lengths[i]
         return tuple(
             (mask & self._level_masks[d]).bit_count() for d in range(top + 1)
         )
@@ -342,7 +374,7 @@ def label_text(label: Label) -> str:
 
 def c23_below(group: WeylGroupD, w: SignedWindow) -> frozenset[Label]:
     """Labels whose realization lies below w in Bruhat order."""
-    mask = group.below[group.index[w]]
+    mask = group.below[group.id_of(w)]
     return frozenset(lab for lab, i in group.label_ids.items() if mask >> i & 1)
 
 
@@ -362,7 +394,7 @@ def admissibility_violation_d(
     """First failed axiom of the conjectured admissibility, or None;
     _first_violation on A's label ids and summable pairs."""
     members = group.label_mask(A)
-    return _first_violation(group, members, roots_and_pairs(group, members)[1])
+    return _first_violation(group, members, columns_and_pairs(group, members)[1])
 
 
 def _first_violation(group: WeylGroupD, members: int, pairs: list) -> AdmissibilityViolationD | None:
@@ -372,7 +404,8 @@ def _first_violation(group: WeylGroupD, members: int, pairs: list) -> Admissibil
     pair with both orientations t_a t_b, t_b t_a but not t_{a+b} fails
     product-pair, and a pair with neither fails reflection-pair.  Closure
     puts t_a and t_b in the set whenever t_a t_b is there, so every
-    product member belongs to one of pairs, the members' summable pairs.
+    product member belongs to one of pairs, the members' summable pairs
+    over columns (columns_and_pairs); the witness names their roots.
     """
     below = group.below
     labels = group.label_tables[2]
@@ -381,30 +414,42 @@ def _first_violation(group: WeylGroupD, members: int, pairs: list) -> Admissibil
         if members >> i & 1 and (missing := below[i] & outside):
             culprit = next(x for x, k in labels if missing >> k & 1)
             return AdmissibilityViolationD("closure", (lab, culprit))
-    for a, b, mid, ab, ba in pairs:
+    pos = positive_roots(group.rank)
+    for ka, kb, mid, ab, ba in pairs:
         if ab and ba and mid is None:
+            a, b = pos[ka], pos[kb]
             return AdmissibilityViolationD(
                 "product-pair", (("tt", a, b), ("tt", b, a), ("t", tuple_add(a, b)))
             )
-    for a, b, _, ab, ba in pairs:
+    for ka, kb, _, ab, ba in pairs:
         if not ab and not ba:
-            return AdmissibilityViolationD("reflection-pair", (("t", a), ("t", b)))
+            return AdmissibilityViolationD("reflection-pair", (("t", pos[ka]), ("t", pos[kb])))
     return None
 
 
-def roots_and_pairs(group: WeylGroupD, members: int) -> tuple[tuple[Root, ...], list]:
-    """The sorted member roots and their summable pairs, as ordering_engine
-    takes them, of the labels whose ids are set in members."""
+def columns_and_pairs(group: WeylGroupD, members: int) -> tuple[list[int], list]:
+    """The member columns in root order and their summable pairs, as
+    ordering_engine takes them with columns for roots, of the labels
+    whose ids are set in members; the only filter of label_tables."""
     reflections, rows, _ = group.label_tables
-    present = {i for _, i in reflections if members >> i & 1}
-    roots = tuple(a for a, i in reflections if i in present)
+    columns = [k for k, i in enumerate(reflections) if members >> i & 1]
     pairs = [
-        (a, b, gamma if ig in present else None,
+        (ka, kb, kg if members >> ig & 1 else None,
          members >> iab & 1 == 1, members >> iba & 1 == 1)
-        for a, b, gamma, ia, ib, ig, iab, iba in rows
-        if ia in present and ib in present
+        for both, ka, kb, kg, ig, iab, iba in rows
+        if members & both == both
     ]
-    return roots, pairs
+    return columns, pairs
+
+
+def roots_and_pairs(group: WeylGroupD, members: int) -> tuple[tuple[Root, ...], list]:
+    """columns_and_pairs with each column read as its root."""
+    pos = positive_roots(group.rank)
+    columns, pairs = columns_and_pairs(group, members)
+    return tuple(pos[k] for k in columns), [
+        (pos[ka], pos[kb], None if kg is None else pos[kg], ab, ba)
+        for ka, kb, kg, ab, ba in pairs
+    ]
 
 
 # ------------------------------------------------- compatible arrangements
@@ -496,27 +541,28 @@ def check_element(
 ) -> ConjectureElementReport:
     """Run the three conjecture checks for one smooth element.
 
-    One list of summable pairs, read off w's downset bitmask, feeds
-    both the admissibility axioms and fold_orders, which gives the
-    product of every compatible order without listing them; its cap and
-    refusal are enumerate_compatible_orders_d's.
+    One list of summable pairs over columns, read off w's downset
+    bitmask, feeds both the admissibility axioms and fold_orders, which
+    gives the product of every compatible order without listing them;
+    its cap and refusal are enumerate_compatible_orders_d's.  The fold
+    runs on element ids: from the identity's id 0, a step x * t_alpha
+    is the group's table entry times[x][column of alpha].
     """
-    members = group.below[group.index[w]] & group.ground_mask
-    roots, pairs = roots_and_pairs(group, members)
+    i = group.id_of(w)
+    members = group.below[i] & group.ground_mask
+    columns, pairs = columns_and_pairs(group, members)
     violation = _first_violation(group, members, pairs)
     admissible = violation is None
-    swaps = group.swaps
-    products = fold_orders(
-        roots, pairs, max_reflections, lambda x, alpha: times_swap(x, swaps[alpha]), identity(group.rank)
-    )
+    times = group.times
+    products = fold_orders(columns, pairs, max_reflections, lambda x, k: times[x][k], 0)
     return ConjectureElementReport(
         window=w,
-        length=group.length_of(w),
-        reflections=len(roots),
+        length=group.lengths[i],
+        reflections=len(columns),
         admissible=admissible,
         admissibility_note=None if admissible else violation.describe(),
         orders_found=sum(products.values()),
-        products_ok=all(x == w for x in products),
+        products_ok=all(x == i for x in products),
     )
 
 

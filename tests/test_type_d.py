@@ -4,6 +4,7 @@ import doctest
 import functools
 import itertools
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -434,7 +435,7 @@ def test_c23_below_extremes():
     t = ("t", parse_root("e2-e1", 3))
     assert c23_below(group, realize_label(t, 3)) == {t}
     w0 = (-1, -2, -3)  # odd flips: not an element
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="not an element of W"):
         group.length_of(w0)
 
 
@@ -605,6 +606,54 @@ def test_group_swap_table_matches_reflection_windows(rank):
     assert list(group.swaps) == list(positive_roots(rank))
     for alpha, swap in group.swaps.items():
         assert swap == window_swap(reflection_window(alpha, rank)), alpha
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_times_table_is_right_multiplication_by_each_reflection(rank):
+    # times[id][k] is the id of w * t_alpha, alpha the k-th positive root;
+    # the identity's row lists the reflections, and every step changes
+    # the length by an odd number (lengths of w and w * t differ in parity)
+    group = weyl_group(rank)
+    roots = positive_roots(rank)
+    assert len(group.times) == len(group)
+    for w in group.windows:
+        row = group.times[group.index[w]]
+        assert len(row) == len(roots)
+        for k, alpha in enumerate(roots):
+            assert row[k] == group.index[times_swap(w, group.swaps[alpha])], (w, alpha)
+            assert (group.lengths[row[k]] - group.length_of(w)) % 2 == 1, (w, alpha)
+    assert group.times[0] == [group.label_ids["t", alpha] for alpha in roots]
+
+
+def test_check_element_folds_without_windows(monkeypatch):
+    # once the group is built, the fold reads only its table: check_element
+    # gives the same reports with the window step disabled
+    group = weyl_group(4)
+    smooth = smooth_elements(4)
+    expect = [check_element(group, w) for w in smooth]
+
+    def no_window_step(x, swap):
+        raise AssertionError("check_element multiplied a window")
+
+    monkeypatch.setattr(type_d_mod, "times_swap", no_window_step)
+    reports = [check_element(group, w) for w in smooth]
+    assert reports == expect
+    assert all(e.ok for e in reports)
+    assert sum(e.orders_found for e in reports) == 3305
+
+
+@pytest.mark.parametrize("w", [(1, 2, 3), (-1, 2, 3, 4)], ids=["rank-3", "odd-flips"])
+def test_foreign_windows_are_refused_by_name(w):
+    # a window of another rank, or with an odd number of sign flips, is
+    # not an element of W(D4): every id lookup refuses it the same way
+    group = weyl_group(4)
+    message = re.escape(f"{w} is not an element of W(D4): a rank 4")
+    for call in (check_element, c23_below):
+        with pytest.raises(ValueError, match=message):
+            call(group, w)
+    for call in (group.length_of, group.is_smooth, group.interval_rank_counts):
+        with pytest.raises(ValueError, match=message):
+            call(w)
 
 
 @pytest.mark.parametrize("rank, count", [(2, 2), (3, 14), (4, 44), (5, 100)])
