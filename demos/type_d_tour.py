@@ -32,10 +32,13 @@ for text in ("-2,-1,3,4", "-1,-2,-3,-4"):
 embedded = type_d.embed_window((3, 4, 1, 2))
 print("3412 embeds to", type_d.sp_text(embedded), "smooth:", group.is_smooth(embedded))
 
-# the full verifier: every smooth element of the rank 4 group gets its
-# arrangement enumeration and product checks
-report = type_d.verify_conjecture_d(4)
-print("rank", report.rank, "group", report.group_size, "smooth", report.smooth_count)
-print("checked", report.checked, "counterexamples", len(report.counterexamples))
-print("simple-root order:", "; ".join(report.simple_order))
-print("result:", "ok" if report.ok else "refuted")
+# the full verifier: every compatible arrangement of the reflections
+# below each smooth element of the rank 4 group must multiply back to
+# it and walk saturated chains from both ends; the arrangements are
+# folded over sets of placed reflections, never listed
+reports = [type_d.check_element(group, w) for w in type_d.smooth_elements(4)]
+counterexamples = [e.window for e in reports if not e.ok]
+print("rank 4 group", len(group), "smooth", len(reports))
+print("orders", sum(e.orders_found for e in reports), "counterexamples", len(counterexamples))
+print("simple-root order:", "; ".join(type_d.simple_order_config(4)))
+print("result:", "ok" if not counterexamples else "refuted")

@@ -60,11 +60,9 @@ from .permutations import (
     transposition_window,
 )
 from .type_d import (
-    ConjectureReport,
     WeylGroupD,
     positive_roots,
     simple_roots,
-    verify_conjecture_d,
     weyl_group,
 )
 
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleSet",
-    "ConjectureReport",
     "NotSmoothError",
     "SmoothnessReport",
     "VerificationReport",
@@ -115,7 +112,6 @@ __all__ = [
     "simple_roots",
     "smoothness_report",
     "transposition_window",
-    "verify_conjecture_d",
     "verify_order",
     "weyl_group",
 ]

@@ -265,21 +265,20 @@ def _theorem(w: Window, cap: int) -> tuple[dict, list[dict]]:
     return {"verified": 0}, [failed]
 
 
-def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
-    text = format_window(w)
-    verdicts = order_verdicts(w, cap)
+def _verdict_violations(text: str, verdicts: Counter) -> list[dict]:
+    """One entry per failing Verdict of an element's compatible orders,
+    or no-compatible-order when it has none."""
     violations = [] if verdicts else [dict(window=text, kind="no-compatible-order")]
     for verdict, count in sorted(verdicts.items()):
         if not all(verdict):
-            violations.append(
-                dict(
-                    window=text,
-                    kind="order-fails-verification",
-                    orders=count,
-                    **verdict._asdict(),
-                )
-            )
-    return {"orders": sum(verdicts.values())}, violations
+            entry = dict(window=text, kind="order-fails-verification", orders=count)
+            violations.append({**entry, **verdict._asdict()})
+    return violations
+
+
+def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
+    verdicts = order_verdicts(w, cap)
+    return {"orders": sum(verdicts.values())}, _verdict_violations(format_window(w), verdicts)
 
 
 def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
@@ -291,17 +290,12 @@ def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
 
 def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
     report = type_d.check_element(type_d.weyl_group(len(w)), w, cap)
-    if report.ok:
-        return {"orders": report.orders_found}, []
-    failed = dict(
-        window=type_d.sp_text(w),
-        kind="conjecture-fails",
-        admissible=report.admissible,
-        admissibility_note=report.admissibility_note,
-        orders_found=report.orders_found,
-        products_ok=report.products_ok,
-    )
-    return {"orders": report.orders_found}, [failed]
+    text = type_d.sp_text(w)
+    violations = [] if report.admissible else [
+        dict(window=text, kind="not-admissible", admissibility_note=report.admissibility_note)
+    ]
+    violations += _verdict_violations(text, report.verdicts)
+    return {"orders": report.orders_found}, violations
 
 
 def _smooth_windows(n: int) -> list[Window]:
@@ -482,9 +476,24 @@ def _cmd_typed_smooth(args) -> int:
 
 
 def _cmd_typed_conjecture(args) -> int:
-    _guard_size("rank", args.rank, args.allow_large)
-    report = type_d.verify_conjecture_d(args.rank, _cap(args.max_reflections))
-    payload = {"schema": "smoothchains.conjecture.v1", **report.to_dict()}
+    n = args.rank
+    _guard_size("rank", n, args.allow_large)
+    cap = _cap(args.max_reflections)
+    group = type_d.weyl_group(n)
+    elements = [type_d.check_element(group, w, cap) for w in type_d.smooth_elements(n)]
+    counterexamples = [type_d.sp_text(e.window) for e in elements if not e.ok]
+    payload = {
+        "schema": "smoothchains.conjecture.v2",
+        "rank": n,
+        "group_size": len(group),
+        "smooth_count": len(elements),
+        "checked": len(elements),
+        "simple_order": list(type_d.simple_order_config(n)),
+        "product_pair_rule": type_d.PRODUCT_PAIR_RULE,
+        "elements": [e.to_dict() for e in elements],
+        "counterexamples": counterexamples,
+        "ok": not counterexamples,
+    }
 
     def render(p):
         print(f"rank: {p['rank']}")
@@ -493,13 +502,12 @@ def _cmd_typed_conjecture(args) -> int:
         print(f"checked: {p['checked']}")
         print(f"simple_order: {'; '.join(p['simple_order'])}")
         print(f"product_pair_rule: {p['product_pair_rule']}")
-        if p["counterexamples"]:
-            for w in p["counterexamples"]:
-                print(f"COUNTEREXAMPLE {w}")
+        for w in p["counterexamples"]:
+            print(f"COUNTEREXAMPLE {w}")
         print(f"result: {'ok' if p['ok'] else 'counterexamples found'}")
 
     _emit(payload, args.json, render)
-    return 0 if report.ok else 1
+    return 0 if payload["ok"] else 1
 
 
 # ------------------------------------------------------------- parser

@@ -15,41 +15,40 @@ arrangement is compatible when, for every pair,
 
 Neither or both products without mid make the rule unsatisfiable; on
 admissible sets this never happens.  ``is_compatible_order`` checks the
-rule on one arrangement.  ``_reach`` compiles the pairs once: each item
-is placed once, and keeps (mask, pattern) entries over the bitmask of
-placed items; it may not be placed while placed & mask == pattern for
-one of them.  With A, B, M the bits of a, b and mid:
+rule on one arrangement.  ``_rules`` compiles the pairs once: each item
+is placed once, needs the items of one mask placed before it, and keeps
+(mask, pattern) entries over the bitmask of placed items; it may not be
+placed while placed & mask == pattern for one of them.  With A, B, M
+the bits of a, b and mid:
 
-  * a pair without mid gives the end put second (A, 0) or (B, 0), to
-    wait for the other end, and both ends when it is unsatisfiable;
+  * a pair without mid puts the other end in the mask that the end put
+    second needs, and puts each end in the other's when it is
+    unsatisfiable;
   * a pair with mid gives mid (A|B, 0), to wait for one end, and gives
     a (B|M, B) and b (A|M, A): an end waits while the other end is down
     and mid is not.  Both ends down without mid then cannot be reached,
     since the second end waits for mid, so mid needs no entry for it.
 
 Every prefix built this way extends to the rule consistently, so a
-completed arrangement is compatible and no final filtering pass is
-needed.  Placement depends only on the set of items already placed,
-so the compatible arrangements are exactly the paths from the empty
-set to the full one through such sets.  ``_reach`` yields each set
-reachable from the empty one with its allowed steps, one layer of sets
-at a time, to three consumers.  ``constrained_orders`` follows the
-paths depth first, over items in sorted order, and appends each
-completed arrangement to one list, so the output sequence is
-deterministic; ``capped_orders`` is that listing, refusing sets over a
-cap.  ``fold_orders``, under the same cap, walks the sets instead of
-the paths and returns each product of a compatible arrangement with its
-number of arrangements (linear-extension counting over the lattice of
-ideals, De Loof, De Meyer and De Baets 2006).  The type D conjecture
-check and the type A order verdicts (orders.order_verdicts) use it;
-order listing and enumerate_compatible_orders_d still list.
+completed arrangement is compatible with no final filter, and the
+compatible arrangements are exactly the paths from the empty set of
+placed items to the full one.  ``_steps`` reads a set's allowed steps
+off the rules.  ``_reach`` gives each reachable set with its steps,
+one layer after another, to the listing (``constrained_orders``, depth
+first in sorted item order, so the output is deterministic;
+``capped_orders`` refuses sets over a cap) and to ``moves_connected``.
+``fold_orders`` walks the layers itself, each set handing its prefix
+products with their counts to the next (linear-extension counting over
+the lattice of ideals, De Loof, De Meyer and De Baets 2006).
+``chain_verdicts`` folds both saturated chains on it, for
+orders.order_verdicts and type_d.check_element.
 
 The move graph joins two compatible arrangements one move apart
 (``moves``): a swap of two adjacent items that commute, a rule the
 caller gives, or the reversal of three consecutive items a, mid, b of
 a pair with mid.  ``_move_rule`` reads both off (pairs, commute), once
-per set for the certificate and the searches.  ``moves_connected``,
-the third consumer of ``_reach``, counts the paths and certifies the
+per set for the certificate and the searches.  ``moves_connected``
+counts the paths and certifies the
 graph connected from squares and hexagons at each placed set, the
 local confluence behind Tits' word property and the connectivity of
 the higher Bruhat order B(n, 2) (Manin and Schechtman 1989); it may
@@ -60,7 +59,8 @@ under the same cap and searches (``connected_by_moves``).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator
+from collections import Counter
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 Item = Hashable
 # (a, b, mid, ab, ba): see the module docstring.
@@ -68,6 +68,14 @@ Pair = tuple[Item, Item, Item | None, bool, bool]
 Arrangement = tuple[Item, ...]
 Commute = Callable[[Item, Item], bool]
 Product = Hashable
+
+
+class Verdict(NamedTuple):
+    """The three checks of one arrangement against one element."""
+
+    product_ok: bool
+    prefix_saturated: bool
+    suffix_saturated: bool
 
 
 def is_compatible_order(order: Arrangement, items: Iterable[Item], pairs: Iterable[Pair]) -> bool:
@@ -121,26 +129,60 @@ def fold_orders(
     """Products of all compatible arrangements, with how many give each.
 
     Folds step over every arrangement from start without listing them:
-    each set of placed items (a bitmask) keeps every prefix product
-    reaching it with its number of prefixes, and hands them on when
-    _reach yields it, so only the sets of the current layer and the
-    next hold products.  A product is any hashable state, such as a
-    window or a window with the verdicts of the steps so far.  Returns
-    {} when no arrangement is compatible.  The cap is that of
-    capped_orders.
+    each placed set of a layer hands every prefix product reaching it,
+    with its number of prefixes, along its _steps to the next layer,
+    whose keys are the only record of the sets reached.  A product is
+    any hashable state.  Returns {} when no arrangement is compatible.
+    The cap is that of capped_orders.
     """
     ordered = _capped(items, max_items)
+    rules = _rules(ordered, pairs)
     full = (1 << len(ordered)) - 1
-    at: dict[int, dict[Product, int]] = {0: {start: 1}}
-    for placed, steps in _reach(ordered, pairs):
-        products = at.pop(placed)
-        for bit, item in steps:
-            target = at.setdefault(placed | bit, {})
-            for x, count in products.items():
-                y = step(x, item)
-                target[y] = target.get(y, 0) + count
-    # the full set, when reached, is the last set _reach yields
-    return products if placed == full else {}
+    layer: dict[int, dict[Product, int]] = {0: {start: 1}}
+    while layer and full not in layer:
+        reached: dict[int, dict[Product, int]] = {}
+        for placed, products in layer.items():
+            for bit, item in _steps(placed, rules):
+                target = reached.setdefault(placed | bit, {})
+                for x, count in products.items():
+                    y = step(x, item)
+                    target[y] = target.get(y, 0) + count
+        layer = reached
+    return layer.get(full, {})
+
+
+def chain_verdicts(
+    items: Iterable[Item],
+    pairs: Iterable[Pair],
+    max_items: int | None,
+    step: Callable[[Product, Item], Product],
+    covers: Callable[[Product, Item], bool],
+    start: Product,
+    start_z: Product,
+    target: Product,
+) -> Counter[Verdict]:
+    """How many compatible arrangements get each Verdict against target.
+
+    A type gives its right product step(x, t) = x * t and its cover test
+    covers(x, t), x covered by x * t.  fold_orders carries (x, z,
+    prefix_ok, suffix_ok) from (start, start_z, True, True), start the
+    identity and z = target^{-1} x: a step by t tests covers(x, t),
+    steps x and z, and tests covers of the new z, which is the suffix
+    chain's step read from its far end when x ends at target (else the
+    suffix verdict is read along target^{-1} x).  The cap is that of
+    capped_orders.
+    """
+
+    def chain_step(state, t):
+        x, z, prefix_ok, suffix_ok = state
+        z = step(z, t)
+        return step(x, t), z, prefix_ok and covers(x, t), suffix_ok and covers(z, t)
+
+    folded = fold_orders(items, pairs, max_items, chain_step, (start, start_z, True, True))
+    verdicts: Counter[Verdict] = Counter()
+    for (x, _, prefix_ok, suffix_ok), count in folded.items():
+        verdicts[Verdict(x == target, prefix_ok, suffix_ok)] += count
+    return verdicts
 
 
 def moves_connected(
@@ -168,7 +210,8 @@ def moves_connected(
     ordered = _capped(items, max_items)
     full = (1 << len(ordered)) - 1
     # steps[S]: mask of the steps allowed at each reachable S, layer by layer
-    steps = {placed: sum(bit for bit, _ in allowed) for placed, allowed in _reach(ordered, pairs)}
+    reach = _reach(ordered, pairs)
+    steps = {placed: sum(bit for bit, _ in allowed) for placed, allowed in reach.items()}
     # paths[S]: number of paths from a live S to the full set; steps[S]
     # then keeps only the steps into live sets
     paths = {full: 1} if full in steps else {}
@@ -318,56 +361,58 @@ def _joined(steps: int, joins: list[int]) -> bool:
     return reached == steps
 
 
-def _reach(
-    ordered: list[Item], pairs: Iterable[Pair]
-) -> Iterator[tuple[int, list[tuple[int, Item]]]]:
-    """Each placed set reachable from the empty one, with its allowed steps.
-
-    ordered holds distinct items; item p has bit 1 << p.  The sets come
-    one layer (number of placed items) at a time, each with the
-    (bit, item) steps, in item order, of the unplaced items that no
-    (mask, pattern) entry of the module docstring holds back.  Pairs
-    naming unknown or repeated items are rejected before the first set.
-    """
-    pos = {item: p for p, item in enumerate(ordered)}
-
-    # the (mask, pattern) entries of the module docstring, item by item
-    forbidden: list[list[tuple[int, int]]] = [[] for _ in ordered]
+def _rules(ordered: list[Item], pairs: Iterable[Pair]) -> list[tuple[int, Item, int, list]]:
+    """(bit, item, need, entries) for each item, compiled as the module
+    docstring says; item p of the distinct items has bit 1 << p.  Pairs
+    naming unknown or repeated items are rejected."""
+    bits = {item: 1 << p for p, item in enumerate(ordered)}
+    needs = dict.fromkeys(bits.values(), 0)
+    forbidden: dict[int, list[tuple[int, int]]] = {bit: [] for bit in bits.values()}
     for a, b, mid, ab, ba in pairs:
-        named = (a, b) if mid is None else (a, b, mid)
-        if any(x not in pos for x in named):
-            raise ValueError(f"pair {named!r} names unknown items")
-        if len(set(named)) != len(named):
-            raise ValueError(f"pair {named!r} repeats an item")
-        A, B = 1 << pos[a], 1 << pos[b]
-        if mid is not None:
-            M = 1 << pos[mid]
-            forbidden[pos[mid]].append((A | B, 0))
-            forbidden[pos[a]].append((B | M, B))
-            forbidden[pos[b]].append((A | M, A))
+        try:
+            A, B, M = bits[a], bits[b], 0 if mid is None else bits[mid]
+        except KeyError:
+            raise ValueError(f"pair {(a, b, mid)!r} names unknown items") from None
+        if A == B or M & (A | B):
+            raise ValueError(f"pair {(a, b, mid)!r} repeats an item")
+        if M:
+            forbidden[M].append((A | B, 0))
+            forbidden[A].append((B | M, B))
+            forbidden[B].append((A | M, A))
             continue
         if ab or not ba:
-            forbidden[pos[b]].append((A, 0))
+            needs[B] |= A
         if ba or not ab:
-            forbidden[pos[a]].append((B, 0))
+            needs[A] |= B
+    return [(bit, item, needs[bit], forbidden[bit]) for item, bit in bits.items()]
 
-    rules = [(1 << p, item, forbidden[p]) for item, p in pos.items()]
-    layer = {0: None}
+
+def _steps(placed: int, rules: list) -> list[tuple[int, Item]]:
+    """The (bit, item) steps, in item order, of the unplaced items whose
+    need is placed and that no entry of the rules holds back."""
+    steps = []
+    for bit, item, need, entries in rules:
+        if placed & bit or placed & need != need:
+            continue
+        for mask, pattern in entries:
+            if placed & mask == pattern:
+                break
+        else:
+            steps.append((bit, item))
+    return steps
+
+
+def _reach(ordered: list[Item], pairs: Iterable[Pair]) -> dict[int, list[tuple[int, Item]]]:
+    """Each placed set reachable from the empty one with its _steps, one
+    layer (number of placed items) after another."""
+    rules = _rules(ordered, pairs)
+    reach: dict[int, list[tuple[int, Item]]] = {}
+    layer = [0]
     while layer:
-        reached: dict[int, None] = {}
         for placed in layer:
-            steps = []
-            for bit, item, entries in rules:
-                if placed & bit:
-                    continue
-                for mask, pattern in entries:
-                    if placed & mask == pattern:
-                        break
-                else:
-                    steps.append((bit, item))
-                    reached[placed | bit] = None
-            yield placed, steps
-        layer = reached
+            reach[placed] = _steps(placed, rules)
+        layer = list(dict.fromkeys(placed | bit for placed in layer for bit, _ in reach[placed]))
+    return reach
 
 
 def constrained_orders(
@@ -381,7 +426,7 @@ def constrained_orders(
     """
     ordered = _capped(items, None)
     listed: list[Arrangement] = []
-    _extend(dict(_reach(ordered, pairs)), (1 << len(ordered)) - 1, 0, (), listed)
+    _extend(_reach(ordered, pairs), (1 << len(ordered)) - 1, 0, (), listed)
     return listed
 
 

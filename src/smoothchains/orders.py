@@ -18,8 +18,8 @@ w back, and both the prefix products and the reversed-word prefix
 products walk saturated chains in Bruhat order.  This module constructs
 such an arrangement wedge by wedge, verifies arbitrary arrangements,
 and enumerates all compatible arrangements.  order_verdicts checks
-every compatible arrangement without listing any, by folding both
-chains over the sets of placed reflections.  verify_order reads both
+every compatible arrangement without listing any, through the chain
+fold of ordering_engine (chain_verdicts).  verify_order reads both
 chains of one arrangement in one forward walk on x and z = w^{-1} x,
 which gives the suffix chain's verdict when the product is w, and
 resumes from the arrangement it verified last when that was for the
@@ -43,7 +43,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from . import bruhat, ordering_engine
 from .admissible import (
@@ -56,8 +55,9 @@ from .admissible import (
     smoothness_witness,
 )
 from .ordering_engine import (
+    Verdict,
     capped_orders,
-    fold_orders,
+    chain_verdicts,
     is_compatible_order,
     move_edges,
     moves,
@@ -132,14 +132,6 @@ def construct_compatible_order(w: Window) -> ReflectionOrder:
             f"positions {witness[1]}); no compatible arrangement exists"
         )
     return construct_for_set(c23(w))
-
-
-class Verdict(NamedTuple):
-    """The three checks of one arrangement against one window."""
-
-    product_ok: bool
-    prefix_saturated: bool
-    suffix_saturated: bool
 
 
 @dataclass(frozen=True)
@@ -287,29 +279,17 @@ def order_verdicts(
 ) -> Counter[Verdict]:
     """How many compatible arrangements of c23(w) get each Verdict.
 
-    No arrangement is listed: fold_orders carries (x, z, prefix_ok,
-    suffix_ok) from (e, w^{-1}, True, True), with x the prefix product
-    and z = w^{-1} x.  A step by T(i, j) checks x * T(i, j) covers x,
-    swaps positions i and j of both x and z, then checks z * T(i, j)
-    covers the new z: that is the suffix chain's step, read from its
-    far end.  So the verdicts are verify_order's whenever the product
-    is w; when it is not, suffix_saturated is read along w^{-1} x.
-    Refused over max_reflections as enumerate_compatible_orders is.
+    ordering_engine.chain_verdicts on windows, with bruhat.swap_covers
+    as read at the call; verify_order's verdicts whenever the product
+    is w.  Refused over max_reflections as enumerate_compatible_orders
+    is.
     """
-
-    def step(state, t):
-        x, z, prefix_ok, suffix_ok = state
-        prefix_ok = prefix_ok and bruhat.swap_covers(x, *t)
-        x, z = times_transposition(x, t), times_transposition(z, t)
-        return x, z, prefix_ok, suffix_ok and bruhat.swap_covers(z, *t)
-
+    covers = bruhat.swap_covers
     A = c23(w)
-    start = (identity(len(w)), inverse(w), True, True)
-    folded = fold_orders(A.reflections, reflection_pairs(A), max_reflections, step, start)
-    verdicts: Counter[Verdict] = Counter()
-    for (x, _, prefix_ok, suffix_ok), count in folded.items():
-        verdicts[Verdict(x == w, prefix_ok, suffix_ok)] += count
-    return verdicts
+    return chain_verdicts(
+        A.reflections, reflection_pairs(A), max_reflections, times_transposition,
+        lambda x, t: covers(x, *t), identity(len(w)), inverse(w), w,
+    )
 
 
 def _walk(n: int, steps: ReflectionOrder, covers) -> tuple[Window, int | None]:

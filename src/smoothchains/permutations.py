@@ -107,14 +107,16 @@ def compose(u: Window, v: Window) -> Window:
 
 
 def inverse(w: Window) -> Window:
-    """Group inverse.
+    """Group inverse, signs carried through as compose carries them.
 
     >>> inverse((2, 3, 1))
     (3, 1, 2)
+    >>> inverse((-2, 3, -1))
+    (-3, -1, 2)
     """
     out = [0] * len(w)
-    for pos, val in enumerate(w):
-        out[val - 1] = pos + 1
+    for pos, val in enumerate(w, start=1):
+        out[abs(val) - 1] = pos if val > 0 else -pos
     return tuple(out)
 
 

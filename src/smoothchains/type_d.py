@@ -10,25 +10,25 @@ The conjecture under test: for smooth w (palindromic lower interval,
 which in this simply laced type is smoothness), the set of reflections
 and ordered two-reflection products below w is admissible, admits a
 compatible arrangement of its reflections, and every compatible
-arrangement multiplies back to w.  The summable root pairs of a set
-(columns_and_pairs, bit tests of its id mask against a table built
-once per rank) are all this module hands ordering_engine, whose pair
-rule is compatibility; the two pair axioms of admissibility are read
-off the same pairs.  The product axiom is the same-decomposition rule:
-t_a t_b and t_b t_a both in A force t_{a+b}.  (Type A's cycle-pair
-axiom is the cross-decomposition rule; its type D analogue fails on
-smooth elements of rank 4.)
+arrangement multiplies back to w while its prefixes walk a saturated
+chain from e up to w and its suffixes one down from w, as in type A.
+The summable root pairs of a set (columns_and_pairs, bit tests of its
+id mask against a table built once per rank) are all this module hands
+ordering_engine, whose pair rule is compatibility; the two pair axioms
+of admissibility are read off the same pairs.  The product axiom is
+the same-decomposition rule: t_a t_b and t_b t_a both in A force
+t_{a+b}.  (Type A's cycle-pair axiom is the cross-decomposition rule;
+its type D analogue fails on smooth elements of rank 4.)
 
-check_element builds no label set, lists no arrangement and, past w's
-own id, reads no window: it reads its reflections, as columns of
-positive_roots, and their pairs off w's downset bitmask
-(columns_and_pairs) and folds the prefix products over the sets of
-placed reflections (fold_orders) on element ids, each step
-x * t_alpha one entry of the group's table (times[x][column of
-alpha]).  admissibility_violation_d and enumerate_compatible_orders_d
-read a label set, such as c23_below's, through its id mask
-(label_mask); roots_and_pairs names the columns' roots for the
-listing.
+check_element builds no label set and lists no arrangement: it reads
+w's reflections, as columns of positive_roots, and their pairs off its
+downset bitmask (columns_and_pairs), and gets the verdicts of every
+compatible arrangement from ordering_engine.chain_verdicts on element
+ids (times[x][column of alpha] is x * t_alpha).  A downset is closed,
+so it tests only the pair axioms; admissibility_violation_d and
+enumerate_compatible_orders_d read a label set, such as c23_below's,
+through its id mask (label_mask), and roots_and_pairs names the
+columns' roots for the listing.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ordering_engine import capped_orders, fold_orders
-from .permutations import compose, identity, length
+from .ordering_engine import Verdict, capped_orders, chain_verdicts
+from .permutations import compose, identity, inverse, length
 
 Root = tuple[int, ...]
 SignedWindow = tuple[int, ...]
@@ -391,30 +392,31 @@ class AdmissibilityViolationD:
 def admissibility_violation_d(
     group: WeylGroupD, A: frozenset[Label]
 ) -> AdmissibilityViolationD | None:
-    """First failed axiom of the conjectured admissibility, or None;
-    _first_violation on A's label ids and summable pairs."""
-    members = group.label_mask(A)
-    return _first_violation(group, members, columns_and_pairs(group, members)[1])
+    """First failed axiom of the conjectured admissibility, or None.
 
-
-def _first_violation(group: WeylGroupD, members: int, pairs: list) -> AdmissibilityViolationD | None:
-    """First failed axiom for the labels whose ids are set in members.
-
-    Closure is checked first, member by member in label order.  Then a
-    pair with both orientations t_a t_b, t_b t_a but not t_{a+b} fails
-    product-pair, and a pair with neither fails reflection-pair.  Closure
-    puts t_a and t_b in the set whenever t_a t_b is there, so every
-    product member belongs to one of pairs, the members' summable pairs
-    over columns (columns_and_pairs); the witness names their roots.
+    Closure is checked first, member by member in label order, then the
+    pair axioms on A's summable pairs (_pair_violation).
     """
-    below = group.below
-    labels = group.label_tables[2]
+    members = group.label_mask(A)
+    below, labels = group.below, group.label_tables[2]
     outside = group.ground_mask & ~members
     for lab, i in labels:
         if members >> i & 1 and (missing := below[i] & outside):
             culprit = next(x for x, k in labels if missing >> k & 1)
             return AdmissibilityViolationD("closure", (lab, culprit))
-    pos = positive_roots(group.rank)
+    return _pair_violation(group.rank, columns_and_pairs(group, members)[1])
+
+
+def _pair_violation(rank: int, pairs: list) -> AdmissibilityViolationD | None:
+    """The first failed pair axiom over a closed set's summable pairs
+    (columns_and_pairs), whose roots the witness names.
+
+    A pair with both orientations t_a t_b, t_b t_a but not t_{a+b} fails
+    product-pair, and a pair with neither fails reflection-pair.
+    Closure puts t_a and t_b in the set whenever t_a t_b is there, so
+    every product member belongs to one of pairs.
+    """
+    pos = positive_roots(rank)
     for ka, kb, mid, ab, ba in pairs:
         if ab and ba and mid is None:
             a, b = pos[ka], pos[kb]
@@ -473,17 +475,29 @@ def product_of_root_order(order: tuple[Root, ...], n: int) -> SignedWindow:
 
 @dataclass(frozen=True)
 class ConjectureElementReport:
+    """One element's admissibility and the Verdicts of its arrangements."""
+
     window: SignedWindow
     length: int
     reflections: int
-    admissible: bool
-    admissibility_note: str | None
-    orders_found: int
-    products_ok: bool
+    admissibility_note: str | None  # the failed axiom, None when admissible
+    verdicts: Counter[Verdict]
+
+    @property
+    def admissible(self) -> bool:
+        return self.admissibility_note is None
+
+    @property
+    def orders_found(self) -> int:
+        return sum(self.verdicts.values())
+
+    @property
+    def products_ok(self) -> bool:
+        return all(v.product_ok for v in self.verdicts)
 
     @property
     def ok(self) -> bool:
-        return self.admissible and self.orders_found > 0 and self.products_ok
+        return self.admissible and bool(self.verdicts) and all(map(all, self.verdicts))
 
     def to_dict(self) -> dict:
         return {
@@ -493,36 +507,9 @@ class ConjectureElementReport:
             "admissible": self.admissible,
             "admissibility_note": self.admissibility_note,
             "orders_found": self.orders_found,
-            "products_ok": self.products_ok,
-            "ok": self.ok,
-        }
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    rank: int
-    group_size: int
-    smooth_count: int
-    checked: int
-    simple_order: tuple[str, ...]
-    product_pair_rule: str
-    elements: tuple[ConjectureElementReport, ...]
-    counterexamples: tuple[SignedWindow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "group_size": self.group_size,
-            "smooth_count": self.smooth_count,
-            "checked": self.checked,
-            "simple_order": list(self.simple_order),
-            "product_pair_rule": self.product_pair_rule,
-            "elements": [e.to_dict() for e in self.elements],
-            "counterexamples": [sp_text(w) for w in self.counterexamples],
+            "verdicts": [
+                {"orders": count, **v._asdict()} for v, count in sorted(self.verdicts.items())
+            ],
             "ok": self.ok,
         }
 
@@ -539,51 +526,31 @@ def check_element(
     w: SignedWindow,
     max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
 ) -> ConjectureElementReport:
-    """Run the three conjecture checks for one smooth element.
+    """Run the conjecture checks for one element.
 
     One list of summable pairs over columns, read off w's downset
-    bitmask, feeds both the admissibility axioms and fold_orders, which
-    gives the product of every compatible order without listing them;
-    its cap and refusal are enumerate_compatible_orders_d's.  The fold
-    runs on element ids: from the identity's id 0, a step x * t_alpha
-    is the group's table entry times[x][column of alpha].
+    bitmask, feeds both the pair axioms (a downset is closed) and
+    ordering_engine.chain_verdicts, whose cap and refusal are
+    enumerate_compatible_orders_d's.  The fold runs on element ids, from
+    the identity's id 0 and the id of w^{-1}: a step x * t_alpha is
+    times[x][column of alpha], a cover iff it adds one to the length.
     """
     i = group.id_of(w)
-    members = group.below[i] & group.ground_mask
-    columns, pairs = columns_and_pairs(group, members)
-    violation = _first_violation(group, members, pairs)
-    admissible = violation is None
-    times = group.times
-    products = fold_orders(columns, pairs, max_reflections, lambda x, k: times[x][k], 0)
+    columns, pairs = columns_and_pairs(group, group.below[i] & group.ground_mask)
+    violation = _pair_violation(group.rank, pairs)
+    times, lengths = group.times, group.lengths
+    verdicts = chain_verdicts(
+        columns, pairs, max_reflections,
+        lambda x, k: times[x][k],
+        lambda x, k: lengths[times[x][k]] == lengths[x] + 1,
+        0, group.index[inverse(w)], i,
+    )
     return ConjectureElementReport(
         window=w,
-        length=group.lengths[i],
+        length=lengths[i],
         reflections=len(columns),
-        admissible=admissible,
-        admissibility_note=None if admissible else violation.describe(),
-        orders_found=sum(products.values()),
-        products_ok=all(x == i for x in products),
-    )
-
-
-def verify_conjecture_d(
-    rank: int,
-    max_reflections: int | None = CONJECTURE_MAX_REFLECTIONS,
-) -> ConjectureReport:
-    """Check the conjecture on every smooth element of the rank-n group."""
-    group = weyl_group(rank)
-    smooth = smooth_elements(rank)
-    elements = [check_element(group, w, max_reflections) for w in smooth]
-    counterexamples = tuple(e.window for e in elements if not e.ok)
-    return ConjectureReport(
-        rank=rank,
-        group_size=len(group),
-        smooth_count=len(smooth),
-        checked=len(elements),
-        simple_order=simple_order_config(rank),
-        product_pair_rule=PRODUCT_PAIR_RULE,
-        elements=tuple(elements),
-        counterexamples=counterexamples,
+        admissibility_note=violation and violation.describe(),
+        verdicts=verdicts,
     )
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from smoothchains import cli, ordering_engine, orders
 from smoothchains.admissible import is_smooth_pattern
 from smoothchains.cli import main
+from smoothchains.ordering_engine import Verdict
 from smoothchains.permutations import all_windows
 
 CLI = [sys.executable, "-m", "smoothchains.cli"]
@@ -344,10 +346,10 @@ def test_sweep_reports_construction_fails(capsys, monkeypatch):
 
 
 def test_sweep_reports_no_compatible_order(capsys, monkeypatch):
-    real = orders.fold_orders
+    real = orders.chain_verdicts
     monkeypatch.setattr(
-        orders, "fold_orders",
-        lambda items, *rest: real(items, *rest) if len(items) < 3 else {},
+        orders, "chain_verdicts",
+        lambda items, *rest: real(items, *rest) if len(items) < 3 else Counter(),
     )
     out, found = _one_violation(capsys, ["sweep", "--mode", "enumerate-orders", "--n", "3"])
     assert found == [{"window": "321", "kind": "no-compatible-order"}]
@@ -461,28 +463,60 @@ def test_sweep_reports_graph_disconnected(capsys, monkeypatch):
 
 
 def test_sweep_reports_conjecture_fails(capsys, monkeypatch):
+    # the type D sweep names verdict failures as enumerate-orders does,
+    # and a non-admissible element by its note
     real = cli.type_d.check_element
-    w0 = (1, -2, -3)
+    w0, w1 = (1, -2, -3), (-1, -2, 3)
 
     def check(group, w, cap):
         report = real(group, w, cap)
-        return dataclasses.replace(report, products_ok=False) if w == w0 else report
+        if w == w0:
+            wrong = Verdict(False, True, True)
+            return dataclasses.replace(report, verdicts=Counter({wrong: report.orders_found}))
+        if w == w1:
+            return dataclasses.replace(report, admissibility_note="a note")
+        return report
 
     monkeypatch.setattr(cli.type_d, "check_element", check)
     out, found = _one_violation(capsys, ["sweep", "--mode", "conjecture-d", "--rank", "3"])
-    assert found == [
-        {
-            "window": "1,-2,-3",
-            "kind": "conjecture-fails",
-            "admissible": True,
-            "admissibility_note": None,
-            "orders_found": 16,
-            "products_ok": False,
-        }
+    fields = {"product_ok": False, "prefix_saturated": True, "suffix_saturated": True}
+    assert sorted(found, key=lambda v: v["window"]) == [
+        {"window": "-1,-2,3", "kind": "not-admissible", "admissibility_note": "a note"},
+        {"window": "1,-2,-3", "kind": "order-fails-verification", "orders": 16, **fields},
+    ]
+    assert "VIOLATION -1,-2,3: not-admissible admissibility_note=a note\n" in out
+    assert (
+        "VIOLATION 1,-2,-3: order-fails-verification orders=16, "
+        "prefix_saturated=True, product_ok=False, suffix_saturated=True\n"
+    ) in out
+
+
+def test_sweep_reports_a_type_d_chain_step_that_fails(capsys, monkeypatch):
+    # a cover test that fails the step out of the identity (id 0) by
+    # t[e2-e1] breaks the prefix chain of every order that starts with
+    # it and the suffix chain of every order that ends with it
+    real = cli.type_d.chain_verdicts
+    k = cli.type_d.positive_roots(3).index(cli.type_d.parse_root("e2-e1", 3))
+
+    def chain(items, pairs, cap, step, covers, *rest):
+        return real(items, pairs, cap, step, lambda x, t: covers(x, t) and (x, t) != (0, k), *rest)
+
+    monkeypatch.setattr(cli.type_d, "chain_verdicts", chain)
+    out, found = _one_violation(capsys, ["sweep", "--mode", "conjecture-d", "--rank", "3"])
+    assert all(v["kind"] == "order-fails-verification" and v["product_ok"] for v in found)
+    entry = {"kind": "order-fails-verification", "orders": 1, "product_ok": True}
+    # t[e2-e1] itself: its one order is both chains' only step
+    assert found[0] == {
+        **entry, "window": "2,1,3", "prefix_saturated": False, "suffix_saturated": False
+    }
+    # 3,2,1 has two orders, one starting and one ending with t[e2-e1]
+    assert [v for v in found if v["window"] == "3,2,1"] == [
+        {**entry, "window": "3,2,1", "prefix_saturated": False, "suffix_saturated": True},
+        {**entry, "window": "3,2,1", "prefix_saturated": True, "suffix_saturated": False},
     ]
     assert (
-        "VIOLATION 1,-2,-3: conjecture-fails admissibility_note=None, "
-        "admissible=True, orders_found=16, products_ok=False\n"
+        "VIOLATION 2,1,3: order-fails-verification orders=1, "
+        "prefix_saturated=False, product_ok=True, suffix_saturated=False\n"
     ) in out
 
 
@@ -672,7 +706,7 @@ def test_typed_smooth_rejects_odd_flips(capsys):
 def test_typed_conjecture_rank2(capsys):
     code, payload = run_json(capsys, "typed", "conjecture", "--rank", "2")
     assert code == 0
-    assert payload["schema"] == "smoothchains.conjecture.v1"
+    assert payload["schema"] == "smoothchains.conjecture.v2"
     assert payload["ok"] is True
     assert payload["checked"] == 4
     assert payload["product_pair_rule"] == "same-decomposition orientations"

@@ -35,6 +35,7 @@ from oracles import (
 )
 from smoothchains.admissible import c23, is_smooth_pattern
 from smoothchains.ordering_engine import (
+    Verdict,
     capped_orders,
     connected_by_moves,
     connectivity,
@@ -71,7 +72,6 @@ from smoothchains.type_d import (
     times_swap,
     tuple_add,
     validate_signed_window,
-    verify_conjecture_d,
     weyl_group,
 )
 
@@ -531,26 +531,35 @@ def test_enumeration_cap_d():
 
 # ---------------------------------------------------------- conjecture
 
+def conjecture_reports(rank):
+    """check_element on every smooth element, at the default cap."""
+    group = weyl_group(rank)
+    return [check_element(group, w) for w in smooth_elements(rank)]
+
+
 def test_conjecture_small_ranks():
-    r2 = verify_conjecture_d(2)
-    assert r2.ok and r2.checked == 4
-    assert sum(e.orders_found for e in r2.elements) == 5
-    r3 = verify_conjecture_d(3)
-    assert r3.ok and r3.checked == 22
-    assert sum(e.orders_found for e in r3.elements) == 54
+    r2 = conjecture_reports(2)
+    assert len(r2) == 4 and all(e.ok for e in r2)
+    assert sum(e.orders_found for e in r2) == 5
+    r3 = conjecture_reports(3)
+    assert len(r3) == 22 and all(e.ok for e in r3)
+    assert sum(e.orders_found for e in r3) == 54
 
 
 def test_conjecture_rank4_holds():
-    report = verify_conjecture_d(4)
-    assert report.group_size == 192
-    assert report.smooth_count == 108
-    assert report.checked == 108
-    assert report.counterexamples == ()
-    assert report.ok
-    assert sum(e.orders_found for e in report.elements) == 3305
-    assert report.product_pair_rule == "same-decomposition orientations"
-    d = report.to_dict()
-    assert d["ok"] is True and d["counterexamples"] == []
+    reports = conjecture_reports(4)
+    assert len(weyl_group(4)) == 192
+    assert len(reports) == 108
+    assert [e.window for e in reports if not e.ok] == []
+    assert sum(e.orders_found for e in reports) == 3305
+    assert type_d_mod.PRODUCT_PAIR_RULE == "same-decomposition orientations"
+    for e in reports:
+        d = e.to_dict()
+        assert d["ok"] is True
+        assert d["verdicts"] == [
+            {"orders": e.orders_found, "product_ok": True,
+             "prefix_saturated": True, "suffix_saturated": True}
+        ]
 
 
 def test_conjecture_rank4_longest_element_order_count():
@@ -734,13 +743,15 @@ def test_order_count_is_invariant_under_the_group_symmetries(rank, smooth_count)
         assert counts[compose(c, compose(w, c))] == count, w
 
 
-@pytest.mark.parametrize("rank, total", [(3, 54), (4, 3305), (5, 13210910)])
-def test_compatible_orders_walk_saturated_chains_from_both_ends(rank, total):
-    # the paper's strengthening: along every compatible order of a smooth
-    # w, each prefix product x rises one length step, l(x t) = l(x) + 1,
-    # and w^-1 x falls one, l(w^-1 x t) + 1 = l(w^-1 x); so the prefixes
-    # walk a saturated chain from e up to w and the suffixes one down
-    # from w.  The fold carries (x, w^-1 x, prefix ok, suffix ok).
+@functools.lru_cache(maxsize=None)
+def window_chain_verdicts(rank):
+    """Every element's chain verdicts, folded over signed windows.
+
+    The fold carries (x, w^-1 x, prefix ok, suffix ok): each prefix
+    product x must rise one length step, l(x t) = l(x) + 1, and w^-1 x
+    fall one, l(w^-1 x t) + 1 = l(w^-1 x); windows, compose and the
+    length function stand in for check_element's ids and tables.
+    """
     group = weyl_group(rank)
     ell = group.length_of
 
@@ -755,16 +766,40 @@ def test_compatible_orders_walk_saturated_chains_from_both_ends(rank, total):
             suffix_ok and ell(yt) + 1 == ell(y),
         )
 
+    verdicts = {}
+    for w in group.windows:
+        start = (identity(rank), sp_inverse(w), True, True)
+        roots, pairs = roots_and_pairs(group, group.label_mask(c23_below(group, w)))
+        verdicts[w] = Counter()
+        for (x, _, up, down), count in fold_orders(roots, pairs, None, step, start).items():
+            verdicts[w][Verdict(x == w, up, down)] += count
+    return verdicts
+
+
+@pytest.mark.parametrize("rank, total", [(3, 54), (4, 3305), (5, 13210910)])
+def test_compatible_orders_walk_saturated_chains_from_both_ends(rank, total):
+    # the paper's strengthening: along every compatible order of a smooth
+    # w, the prefixes walk a saturated chain from e up to w and the
+    # suffixes one down from w
     orders = 0
     for w in smooth_elements(rank):
-        A = c23_below(group, w)
-        start = (identity(rank), sp_inverse(w), True, True)
-        roots, pairs = roots_and_pairs(group, group.label_mask(A))
-        products = fold_orders(roots, pairs, None, step, start)
-        assert products, w
-        assert all(x == w and up and down for x, _, up, down in products), w
-        orders += sum(products.values())
+        verdicts = window_chain_verdicts(rank)[w]
+        assert set(verdicts) == {Verdict(True, True, True)}, w
+        orders += sum(verdicts.values())
     assert orders == total
+
+
+@pytest.mark.parametrize("rank, failing", [(3, 16), (4, 17124), (5, 615277160)])
+def test_check_element_chain_verdicts_match_the_window_fold(rank, failing):
+    # check_element folds ids through the group's tables; the oracle
+    # folds windows, so the two verdict counts are read independently,
+    # on every element: the non-smooth ones supply failing verdicts
+    reports = uncapped_reports(rank)
+    found = 0
+    for w, verdicts in window_chain_verdicts(rank).items():
+        assert reports[w].verdicts == verdicts, w
+        found += sum(count for v, count in verdicts.items() if not all(v))
+    assert found == failing
 
 
 def test_sharp_non_smooth_d4_element_has_no_compatible_order():
@@ -820,12 +855,12 @@ def test_cross_pair_product_axiom_fails_on_rank4():
     assert len(counterexamples) == 18
     assert (-2, 1, -3, 4) in counterexamples
     assert (-3, 2, 1, -4) in counterexamples
-    assert verify_conjecture_d(4).product_pair_rule == "same-decomposition orientations"
+    assert type_d_mod.PRODUCT_PAIR_RULE == "same-decomposition orientations"
 
 
 def test_conjecture_rank_guard():
-    with pytest.raises(ValueError):
-        verify_conjecture_d(6)
+    with pytest.raises(ValueError, match="exceeds the group-size limit 5"):
+        smooth_elements(6)
 
 
 @pytest.mark.slow
@@ -838,5 +873,6 @@ def test_conjecture_holds_on_every_smooth_element_of_d6(monkeypatch):
     reports = [check_element(group, w, max_reflections=None) for w in smooth]
     assert len(group) == 23040
     assert len(smooth) == 2164
+    # ok needs every order to multiply to w and walk both saturated chains
     assert [e.window for e in reports if not e.ok] == []
     assert sum(e.orders_found for e in reports) == 4817069429115
