@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -49,7 +48,6 @@ from .orders import (
     verify_order,
 )
 from .permutations import (
-    MAX_DEGREE,
     Window,
     all_windows,
     format_window,
@@ -57,11 +55,8 @@ from .permutations import (
     parse,
 )
 
-# noun: (minimum, hard limit, largest size that runs without --allow-large)
-SIZE_BOUNDS = {
-    "degree": (1, MAX_DEGREE, 8),
-    "rank": (type_d.MIN_RANK, type_d.RANK_LIMIT, 4),
-}
+# noun: (minimum, largest size that runs without --allow-large)
+SIZE_BOUNDS = {"degree": (1, 8), "rank": (type_d.MIN_RANK, 4)}
 # noun: the sweep option that gives the size
 SIZE_OPTIONS = {"degree": "n", "rank": "rank"}
 
@@ -70,22 +65,22 @@ class CliError(Exception):
     """Usage or refusal error; maps to exit code 2."""
 
 
-def _guard_size(noun: str, size: int, allow_large: bool = True) -> None:
-    """Refuse sizes outside SIZE_BOUNDS; commands with --allow-large pass its value."""
-    low, hard, soft = SIZE_BOUNDS[noun]
+def _guard_size(noun: str, size: int, limit: int, allow_large: bool = True) -> None:
+    """Refuse sizes below SIZE_BOUNDS or above limit; commands with --allow-large pass its value."""
+    low, soft = SIZE_BOUNDS[noun]
     if size < low:
         raise CliError(f"{noun} {size} is below the minimum {low}")
-    if size > hard:
-        raise CliError(f"{noun} {size} exceeds the supported limit {hard}")
+    if size > limit:
+        raise CliError(f"{noun} {size} exceeds the supported limit {limit}")
     if size > soft and not allow_large:
         raise CliError(
             f"{noun} {size} runs are expensive; pass --allow-large to confirm"
         )
 
 
-def _cap(max_reflections: int) -> int:
-    """The --max-reflections value, refused when negative."""
-    if max_reflections < 0:
+def _cap(max_reflections: int | None) -> int | None:
+    """The --max-reflections value (None: uncapped), refused when negative."""
+    if max_reflections is not None and max_reflections < 0:
         raise CliError(f"--max-reflections {max_reflections} is negative")
     return max_reflections
 
@@ -235,9 +230,9 @@ def _cmd_order(args) -> int:
 # -------------------------------------------------------------- sweep
 #
 # An element check takes (element, cap) and returns the element's
-# counters and violations.
+# counters and violations; a cap of None lifts the enumeration cap.
 
-def _crosscheck(w: Window, cap: int) -> tuple[dict, list[dict]]:
+def _crosscheck(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     text = format_window(w)
     by_pattern = is_smooth_pattern(w)
     refl = len(c_t(w))
@@ -255,7 +250,7 @@ def _crosscheck(w: Window, cap: int) -> tuple[dict, list[dict]]:
     return {"smooth": int(by_pattern)}, violations
 
 
-def _theorem(w: Window, cap: int) -> tuple[dict, list[dict]]:
+def _theorem(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     A = c23(w)
     order = construct_for_set(A)
     report = verify_order(w, order)
@@ -276,19 +271,19 @@ def _verdict_violations(text: str, verdicts: Counter) -> list[dict]:
     return violations
 
 
-def _enumerate(w: Window, cap: int) -> tuple[dict, list[dict]]:
+def _enumerate(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     verdicts = order_verdicts(w, cap)
     return {"orders": sum(verdicts.values())}, _verdict_violations(format_window(w), verdicts)
 
 
-def _connectivity(w: Window, cap: int) -> tuple[dict, list[dict]]:
+def _connectivity(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     count, connected = connectivity(c23(w), cap)
     if connected:
         return {"orders": count}, []
     return {"orders": count}, [dict(window=format_window(w), kind="graph-disconnected")]
 
 
-def _conjecture(w: Window, cap: int) -> tuple[dict, list[dict]]:
+def _conjecture(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     report = type_d.check_element(type_d.weyl_group(len(w)), w, cap)
     text = type_d.sp_text(w)
     violations = [] if report.admissible else [
@@ -315,27 +310,18 @@ def _smooth_windows(n: int) -> list[Window]:
 
 class SweepMode(NamedTuple):
     noun: str  # a key of SIZE_BOUNDS
-    cap: int  # default --max-reflections
+    limit: int  # the largest size a whole uncapped run was measured to finish
     population: Callable[[int], list]  # the elements of one size, in listing order
-    check: Callable[[tuple, int], tuple[dict, list[dict]]]
+    check: Callable[[tuple, int | None], tuple[dict, list[dict]]]
 
 
+# The limits and their runs are listed in the README.
 SWEEP_MODES = {
-    "smooth-crosscheck": SweepMode(
-        "degree", DEFAULT_MAX_REFLECTIONS, lambda n: list(all_windows(n)), _crosscheck
-    ),
-    "theorem-verify": SweepMode(
-        "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _theorem
-    ),
-    "enumerate-orders": SweepMode(
-        "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _enumerate
-    ),
-    "graph-connectivity": SweepMode(
-        "degree", DEFAULT_MAX_REFLECTIONS, _smooth_windows, _connectivity
-    ),
-    "conjecture-d": SweepMode(
-        "rank", type_d.CONJECTURE_MAX_REFLECTIONS, type_d.smooth_elements, _conjecture
-    ),
+    "smooth-crosscheck": SweepMode("degree", 9, lambda n: list(all_windows(n)), _crosscheck),
+    "theorem-verify": SweepMode("degree", 11, _smooth_windows, _theorem),
+    "enumerate-orders": SweepMode("degree", 10, _smooth_windows, _enumerate),
+    "graph-connectivity": SweepMode("degree", 9, _smooth_windows, _connectivity),
+    "conjecture-d": SweepMode("rank", type_d.RANK_LIMIT, type_d.smooth_elements, _conjecture),
 }
 
 
@@ -348,11 +334,9 @@ def _merged(results) -> tuple[Counter, list[dict]]:
     return counters, violations
 
 
-def _check_windows(check, windows: list[Window], cap: int) -> tuple[Counter, list]:
-    """One worker's contiguous slice of the population, merged in slice order."""
-    counters, violations = _merged(check(w, cap) for w in windows)
-    counters["checked"] += len(windows)
-    return counters, violations
+# Of 64, 256 and 1,024 chunks per process, 256 ran S8 enumerate-orders and
+# S9 theorem-verify fastest on 2 processes of a 2-vCPU host.
+CHUNKS_PER_PROCESS = 256
 
 
 def _cmd_sweep(args) -> int:
@@ -362,7 +346,7 @@ def _cmd_sweep(args) -> int:
         raise CliError("--workers must be at least 1")
     if args.sample is not None and args.seed is None:
         raise CliError("--sample requires --seed for a reproducible draw")
-    cap = _cap(mode.cap if args.max_reflections is None else args.max_reflections)
+    cap = _cap(args.max_reflections)
 
     payload: dict = {
         "schema": "smoothchains.sweep.v1",
@@ -380,7 +364,7 @@ def _cmd_sweep(args) -> int:
     n = getattr(args, option)
     if n is None:
         raise CliError(f"--{option} is required for mode {args.mode}")
-    _guard_size(mode.noun, n, args.allow_large)
+    _guard_size(mode.noun, n, mode.limit, args.allow_large)
     payload.update({"degree": None, "rank": None, mode.noun: n})
     if mode.noun == "rank":  # type D reports name the simple-root comparison ranks
         payload["simple_order"] = list(type_d.simple_order_config(n))
@@ -392,15 +376,18 @@ def _cmd_sweep(args) -> int:
         population = [w for w in population if w in drawn]
     payload["population"] = len(population)
 
-    size = math.ceil(len(population) / workers)
-    slices = [population[i : i + size] for i in range(0, len(population), size)]
-    check = partial(_check_windows, mode.check, cap=cap)
-    if len(slices) == 1:
-        results = [check(slices[0])]
+    # imap hands out the elements in small chunks, so the heavy ones at
+    # the end of the population spread over the processes, and it yields
+    # the results in population order
+    check = partial(mode.check, cap=cap)
+    if workers == 1:
+        counters, violations = _merged(map(check, population))
     else:
-        with Pool(min(len(slices), os.cpu_count() or 1)) as pool:
-            results = pool.map(check, slices)
-    counters, violations = _merged(results)
+        processes = min(workers, len(population), os.cpu_count() or 1)
+        chunksize = -(-len(population) // (processes * CHUNKS_PER_PROCESS))
+        with Pool(processes) as pool:
+            counters, violations = _merged(pool.imap(check, population, chunksize))
+    counters["checked"] = len(population)
 
     payload["counters"] = counters
     payload["violations"] = violations
@@ -427,7 +414,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_typed_roots(args) -> int:
     n = args.rank
-    _guard_size("rank", n)
+    _guard_size("rank", n, type_d.RANK_LIMIT)
     payload = {
         "schema": "smoothchains.roots.v1",
         "rank": n,
@@ -453,7 +440,7 @@ def _cmd_typed_roots(args) -> int:
 
 def _cmd_typed_smooth(args) -> int:
     w = type_d.sp_parse(args.window)
-    _guard_size("rank", len(w))
+    _guard_size("rank", len(w), type_d.RANK_LIMIT)
     group = type_d.weyl_group(len(w))
     payload = {
         "schema": "smoothchains.typed-smooth.v1",
@@ -477,7 +464,7 @@ def _cmd_typed_smooth(args) -> int:
 
 def _cmd_typed_conjecture(args) -> int:
     n = args.rank
-    _guard_size("rank", n, args.allow_large)
+    _guard_size("rank", n, type_d.RANK_LIMIT, args.allow_large)
     cap = _cap(args.max_reflections)
     group = type_d.weyl_group(n)
     elements = [type_d.check_element(group, w, cap) for w in type_d.smooth_elements(n)]
@@ -542,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mode", choices=SWEEP_MODES, required=True)
     p_sweep.add_argument("--n", type=int, help="degree for type A modes")
     p_sweep.add_argument("--rank", type=int, help="rank for conjecture-d")
-    p_sweep.add_argument("--workers", type=int, default=1, help="population slices, at most one process per CPU (default 1)")
+    p_sweep.add_argument("--workers", type=int, default=1, help="processes, at most one per CPU (default 1: in-process)")
     p_sweep.add_argument("--sample", type=int, help="check only this many elements")
     p_sweep.add_argument("--seed", type=int, help="seed for --sample")
     p_sweep.add_argument(
@@ -550,9 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "enumeration cap (default 10 for type A modes, 12 for "
-            "conjecture-d); it bounds the placed-set walk of "
-            "enumerate-orders, graph-connectivity and conjecture-d"
+            "enumeration cap (default: none); when given, it bounds the "
+            "placed-set walk of enumerate-orders, graph-connectivity and "
+            "conjecture-d"
         ),
     )
     p_sweep.add_argument("--allow-large", action="store_true")
@@ -577,8 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_conj.add_argument(
         "--max-reflections",
         type=int,
-        default=type_d.CONJECTURE_MAX_REFLECTIONS,
-        help="reflection cap per element (default 12); it bounds the placed-set walk",
+        help="reflection cap per element (default: none); when given, it bounds the placed-set walk",
     )
     t_conj.add_argument("--allow-large", action="store_true")
     t_conj.add_argument("--json", action="store_true")

@@ -48,7 +48,7 @@ SignedWindow = tuple[int, ...]
 Label = tuple  # ("t", alpha) | ("tt", alpha, beta)
 
 MIN_RANK = 2  # type D starts at rank 2
-RANK_LIMIT = 5  # read by WeylGroupD per call; cli.SIZE_BOUNDS copies it at import
+RANK_LIMIT = 6  # read by WeylGroupD per call; cli.SWEEP_MODES copies it at import
 CONJECTURE_MAX_REFLECTIONS = 12
 # the product axiom admissibility_violation_d checks, named in reports
 PRODUCT_PAIR_RULE = "same-decomposition orientations"

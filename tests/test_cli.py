@@ -275,7 +275,7 @@ def test_sweep_conjecture_d_rank3(capsys):
     assert code == 0
     assert payload["rank"] == 3
     assert payload["counters"] == {"checked": 22, "orders": 54}
-    assert payload["max_reflections"] == 12
+    assert payload["max_reflections"] is None
     assert payload["simple_order"][0] == "e2-e1 rank 2"
 
 
@@ -289,6 +289,26 @@ def test_sweep_conjecture_d_rank5_under_a_raised_cap(capsys):
     assert code == 0
     assert payload["counters"] == {"checked": 490, "orders": 13210910}
     assert payload["ok"] is True
+
+
+def test_formerly_refused_defaults_finish(capsys):
+    # sweeps and typed conjecture run uncapped unless --max-reflections is given
+    runs = [
+        run_json(capsys, "sweep", "--mode", mode, "--n", "6")
+        for mode in ("enumerate-orders", "graph-connectivity")
+    ]
+    assert [code for code, _ in runs] == [0, 0]
+    assert runs[0][1]["counters"] == runs[1][1]["counters"]
+    assert runs[0][1]["counters"]["checked"] == 366
+    code, swept = run_json(
+        capsys, "sweep", "--mode", "conjecture-d", "--rank", "5", "--allow-large"
+    )
+    assert code == 0
+    assert swept["counters"] == {"checked": 490, "orders": 13210910}
+    code, typed = run_json(capsys, "typed", "conjecture", "--rank", "5", "--allow-large")
+    assert code == 0 and typed["ok"] is True
+    assert typed["checked"] == 490
+    assert sum(e["orders_found"] for e in typed["elements"]) == 13210910
 
 
 # Each violation kind, produced by patching the name its check reads in
@@ -538,7 +558,7 @@ def test_sweep_sampling_is_seeded(capsys):
         ["sweep", "--mode", "smooth-crosscheck", "--n", "9"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "13", "--allow-large"],
         ["sweep", "--mode", "conjecture-d", "--rank", "5"],
-        ["sweep", "--mode", "conjecture-d", "--rank", "6", "--allow-large"],
+        ["sweep", "--mode", "conjecture-d", "--rank", "7", "--allow-large"],
         ["sweep", "--mode", "conjecture-d"],
         ["sweep", "--mode", "smooth-crosscheck"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--workers", "0"],
@@ -569,16 +589,35 @@ def test_sweep_usage_errors_exit_2(capsys, argv):
          "--sample 0 is outside 1..24"),
         (["sweep", "--mode", "smooth-crosscheck", "--n", "3", "--sample", "7", "--seed", "1"],
          "--sample 7 is outside 1..6"),
-        (["typed", "roots", "--rank", "6"], "rank 6 exceeds the supported limit 5"),
+        (["typed", "roots", "--rank", "7"], "rank 7 exceeds the supported limit 6"),
         (["typed", "roots", "--rank", "0"], "rank 0 is below the minimum 2"),
         (["typed", "roots", "--rank", "1"], "rank 1 is below the minimum 2"),
         (["sweep", "--mode", "conjecture-d", "--rank", "1"], "rank 1 is below the minimum 2"),
         (["typed", "smooth", "--", "1"], "rank 1 is below the minimum 2"),
-        (["typed", "smooth", "--", "1,2,3,4,5,6"], "rank 6 exceeds the supported limit 5"),
+        (["typed", "smooth", "--", "1,2,3,4,5,6,7"], "rank 7 exceeds the supported limit 6"),
         (["sweep", "--mode", "conjecture-d", "--rank", "3", "--n", "9"],
          "--n does not apply to mode conjecture-d; it takes --rank"),
         (["sweep", "--mode", "theorem-verify", "--n", "4", "--rank", "3"],
          "--rank does not apply to mode theorem-verify; it takes --n"),
+        # each sweep mode refuses one more than the largest size it was measured to finish
+        (["sweep", "--mode", "smooth-crosscheck", "--n", "10", "--allow-large"],
+         "degree 10 exceeds the supported limit 9"),
+        (["sweep", "--mode", "theorem-verify", "--n", "12", "--allow-large"],
+         "degree 12 exceeds the supported limit 11"),
+        (["sweep", "--mode", "enumerate-orders", "--n", "11", "--allow-large"],
+         "degree 11 exceeds the supported limit 10"),
+        (["sweep", "--mode", "graph-connectivity", "--n", "10", "--allow-large"],
+         "degree 10 exceeds the supported limit 9"),
+        (["sweep", "--mode", "conjecture-d", "--rank", "7", "--allow-large"],
+         "rank 7 exceeds the supported limit 6"),
+        # an explicit cap still refuses, in-process or from a worker
+        (["sweep", "--mode", "enumerate-orders", "--n", "6", "--max-reflections", "10"],
+         "11 reflections exceed the enumeration cap 10; raise max_reflections to proceed"),
+        (["sweep", "--mode", "graph-connectivity", "--n", "6", "--max-reflections", "10",
+          "--workers", "2"],
+         "11 reflections exceed the enumeration cap 10; raise max_reflections to proceed"),
+        (["typed", "conjecture", "--rank", "5", "--allow-large", "--max-reflections", "12"],
+         "13 reflections exceed the enumeration cap 12; raise max_reflections to proceed"),
     ],
 )
 def test_out_of_range_values_are_refused_by_name(capsys, argv, message):
@@ -594,15 +633,20 @@ def test_sweep_rejects_unknown_mode(capsys):
     capsys.readouterr()
 
 
-def test_multi_worker_run_differs_only_in_worker_count(capsys):
-    _, solo = run_json(capsys, "sweep", "--mode", "enumerate-orders", "--n", "4")
-    _, multi = run_json(
-        capsys,
-        "sweep", "--mode", "enumerate-orders", "--n", "4", "--workers", "3",
-    )
-    assert solo.pop("workers") == 1
-    assert multi.pop("workers") == 3
-    assert solo == multi
+def test_multi_worker_run_differs_only_in_worker_count(capsys, monkeypatch):
+    # reversed constructions fail on most of S5, so theorem-verify also
+    # compares the order of its violations; forked workers see the patch
+    real = cli.construct_for_set
+    monkeypatch.setattr(cli, "construct_for_set", lambda A: real(A)[::-1])
+    for mode, want in (("enumerate-orders", 0), ("theorem-verify", 1)):
+        argv = ["sweep", "--mode", mode, "--n", "5", "--json"]
+        code, solo, _ = run_cli(capsys, *argv)
+        assert code == want
+        assert (solo.count('"construction-fails"') > 10) == (want == 1)
+        for workers in ("2", "3"):
+            code, multi, _ = run_cli(capsys, *argv, "--workers", workers)
+            assert code == want
+            assert multi == solo.replace('"workers": 1', f'"workers": {workers}')
 
 
 @pytest.mark.parametrize("n, workers", [(1, 3), (2, 4), (3, 4)])
@@ -628,15 +672,15 @@ def test_workers_beyond_the_cpu_count_start_no_more_processes(capsys, monkeypatc
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(x) for x in items]
+        def imap(self, fn, items, chunksize):
+            return map(fn, items)
 
     monkeypatch.setattr(cli, "Pool", InProcessPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     argv = ["sweep", "--mode", "theorem-verify", "--n", "4"]
     _, solo = run_json(capsys, *argv)
     _, many = run_json(capsys, *argv, "--workers", "1000")
-    # the 22 smooth windows of S4 make 22 one-window slices, on 4 processes
+    # the 22 smooth windows of S4 go to 4 processes
     assert started == [4]
     assert many.pop("workers") == 1000
     solo.pop("workers")
@@ -716,7 +760,7 @@ def test_typed_conjecture_rank_guards(capsys):
     code = main(["typed", "conjecture", "--rank", "5"])
     capsys.readouterr()
     assert code == 2
-    code = main(["typed", "conjecture", "--rank", "6", "--allow-large"])
+    code = main(["typed", "conjecture", "--rank", "7", "--allow-large"])
     capsys.readouterr()
     assert code == 2
 
