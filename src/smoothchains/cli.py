@@ -20,7 +20,6 @@ import os
 import random
 import sys
 from collections import Counter
-from functools import partial
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
 
@@ -55,8 +54,8 @@ from .permutations import (
     parse,
 )
 
-# noun: (minimum, largest size that runs without --allow-large)
-SIZE_BOUNDS = {"degree": (1, 8), "rank": (type_d.MIN_RANK, 4)}
+# noun: the smallest size a command accepts
+SIZE_MINIMA = {"degree": 1, "rank": type_d.MIN_RANK}
 # noun: the sweep option that gives the size
 SIZE_OPTIONS = {"degree": "n", "rank": "rank"}
 
@@ -65,22 +64,18 @@ class CliError(Exception):
     """Usage or refusal error; maps to exit code 2."""
 
 
-def _guard_size(noun: str, size: int, limit: int, allow_large: bool = True) -> None:
-    """Refuse sizes below SIZE_BOUNDS or above limit; commands with --allow-large pass its value."""
-    low, soft = SIZE_BOUNDS[noun]
+def _guard_size(noun: str, size: int, limit: int) -> None:
+    """Refuse sizes below SIZE_MINIMA or above limit."""
+    low = SIZE_MINIMA[noun]
     if size < low:
         raise CliError(f"{noun} {size} is below the minimum {low}")
     if size > limit:
         raise CliError(f"{noun} {size} exceeds the supported limit {limit}")
-    if size > soft and not allow_large:
-        raise CliError(
-            f"{noun} {size} runs are expensive; pass --allow-large to confirm"
-        )
 
 
-def _cap(max_reflections: int | None) -> int | None:
-    """The --max-reflections value (None: uncapped), refused when negative."""
-    if max_reflections is not None and max_reflections < 0:
+def _cap(max_reflections: int) -> int:
+    """The --max-reflections value of order, refused when negative."""
+    if max_reflections < 0:
         raise CliError(f"--max-reflections {max_reflections} is negative")
     return max_reflections
 
@@ -229,10 +224,11 @@ def _cmd_order(args) -> int:
 
 # -------------------------------------------------------------- sweep
 #
-# An element check takes (element, cap) and returns the element's
-# counters and violations; a cap of None lifts the enumeration cap.
+# An element check takes one element and returns its counters and
+# violations; it passes None to every capped library call, so a sweep
+# runs uncapped and its size limit is the one rule on what it may run.
 
-def _crosscheck(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
+def _crosscheck(w: Window) -> tuple[dict, list[dict]]:
     text = format_window(w)
     by_pattern = is_smooth_pattern(w)
     refl = len(c_t(w))
@@ -250,7 +246,7 @@ def _crosscheck(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
     return {"smooth": int(by_pattern)}, violations
 
 
-def _theorem(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
+def _theorem(w: Window) -> tuple[dict, list[dict]]:
     A = c23(w)
     order = construct_for_set(A)
     report = verify_order(w, order)
@@ -271,20 +267,20 @@ def _verdict_violations(text: str, verdicts: Counter) -> list[dict]:
     return violations
 
 
-def _enumerate(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
-    verdicts = order_verdicts(w, cap)
+def _enumerate(w: Window) -> tuple[dict, list[dict]]:
+    verdicts = order_verdicts(w, None)
     return {"orders": sum(verdicts.values())}, _verdict_violations(format_window(w), verdicts)
 
 
-def _connectivity(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
-    count, connected = connectivity(c23(w), cap)
+def _connectivity(w: Window) -> tuple[dict, list[dict]]:
+    count, connected = connectivity(c23(w), None)
     if connected:
         return {"orders": count}, []
     return {"orders": count}, [dict(window=format_window(w), kind="graph-disconnected")]
 
 
-def _conjecture(w: Window, cap: int | None) -> tuple[dict, list[dict]]:
-    report = type_d.check_element(type_d.weyl_group(len(w)), w, cap)
+def _conjecture(w: Window) -> tuple[dict, list[dict]]:
+    report = type_d.check_element(type_d.weyl_group(len(w)), w, None)
     text = type_d.sp_text(w)
     violations = [] if report.admissible else [
         dict(window=text, kind="not-admissible", admissibility_note=report.admissibility_note)
@@ -309,10 +305,10 @@ def _smooth_windows(n: int) -> list[Window]:
 
 
 class SweepMode(NamedTuple):
-    noun: str  # a key of SIZE_BOUNDS
+    noun: str  # a key of SIZE_MINIMA
     limit: int  # the largest size a whole uncapped run was measured to finish
     population: Callable[[int], list]  # the elements of one size, in listing order
-    check: Callable[[tuple, int | None], tuple[dict, list[dict]]]
+    check: Callable[[tuple], tuple[dict, list[dict]]]
 
 
 # The limits and their runs are listed in the README.
@@ -346,15 +342,13 @@ def _cmd_sweep(args) -> int:
         raise CliError("--workers must be at least 1")
     if args.sample is not None and args.seed is None:
         raise CliError("--sample requires --seed for a reproducible draw")
-    cap = _cap(args.max_reflections)
 
     payload: dict = {
-        "schema": "smoothchains.sweep.v1",
+        "schema": "smoothchains.sweep.v2",
         "mode": args.mode,
         "workers": workers,
         "sample": args.sample,
         "seed": args.seed,
-        "max_reflections": cap,
     }
 
     option = SIZE_OPTIONS[mode.noun]
@@ -364,7 +358,7 @@ def _cmd_sweep(args) -> int:
     n = getattr(args, option)
     if n is None:
         raise CliError(f"--{option} is required for mode {args.mode}")
-    _guard_size(mode.noun, n, mode.limit, args.allow_large)
+    _guard_size(mode.noun, n, mode.limit)
     payload.update({"degree": None, "rank": None, mode.noun: n})
     if mode.noun == "rank":  # type D reports name the simple-root comparison ranks
         payload["simple_order"] = list(type_d.simple_order_config(n))
@@ -379,14 +373,13 @@ def _cmd_sweep(args) -> int:
     # imap hands out the elements in small chunks, so the heavy ones at
     # the end of the population spread over the processes, and it yields
     # the results in population order
-    check = partial(mode.check, cap=cap)
     if workers == 1:
-        counters, violations = _merged(map(check, population))
+        counters, violations = _merged(map(mode.check, population))
     else:
         processes = min(workers, len(population), os.cpu_count() or 1)
         chunksize = -(-len(population) // (processes * CHUNKS_PER_PROCESS))
         with Pool(processes) as pool:
-            counters, violations = _merged(pool.imap(check, population, chunksize))
+            counters, violations = _merged(pool.imap(mode.check, population, chunksize))
     counters["checked"] = len(population)
 
     payload["counters"] = counters
@@ -464,10 +457,9 @@ def _cmd_typed_smooth(args) -> int:
 
 def _cmd_typed_conjecture(args) -> int:
     n = args.rank
-    _guard_size("rank", n, type_d.RANK_LIMIT, args.allow_large)
-    cap = _cap(args.max_reflections)
+    _guard_size("rank", n, type_d.RANK_LIMIT)
     group = type_d.weyl_group(n)
-    elements = [type_d.check_element(group, w, cap) for w in type_d.smooth_elements(n)]
+    elements = [type_d.check_element(group, w, None) for w in type_d.smooth_elements(n)]
     counterexamples = [type_d.sp_text(e.window) for e in elements if not e.ok]
     payload = {
         "schema": "smoothchains.conjecture.v2",
@@ -532,17 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1, help="processes, at most one per CPU (default 1: in-process)")
     p_sweep.add_argument("--sample", type=int, help="check only this many elements")
     p_sweep.add_argument("--seed", type=int, help="seed for --sample")
-    p_sweep.add_argument(
-        "--max-reflections",
-        type=int,
-        default=None,
-        help=(
-            "enumeration cap (default: none); when given, it bounds the "
-            "placed-set walk of enumerate-orders, graph-connectivity and "
-            "conjecture-d"
-        ),
-    )
-    p_sweep.add_argument("--allow-large", action="store_true")
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -561,12 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t_conj = typed_sub.add_parser("conjecture", help="run the conjecture checks")
     t_conj.add_argument("--rank", type=int, required=True)
-    t_conj.add_argument(
-        "--max-reflections",
-        type=int,
-        help="reflection cap per element (default: none); when given, it bounds the placed-set walk",
-    )
-    t_conj.add_argument("--allow-large", action="store_true")
     t_conj.add_argument("--json", action="store_true")
     t_conj.set_defaults(func=_cmd_typed_conjecture)
 

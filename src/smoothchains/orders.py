@@ -224,7 +224,7 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
     """
     global _last_walk
     n = len(w)
-    key = tuple(w)  # the slot keeps no list a caller may change
+    key = tuple(w)  # the slot keeps no list a caller may change; products compare with it
     order = tuple(order)
     covers = bruhat.swap_covers
     last = _last_walk
@@ -263,13 +263,13 @@ def verify_order(w: Window, order: ReflectionOrder) -> VerificationReport:
         if not covers(z, i, j):
             z_breaks.append(k)
     product = tuple(x)
-    if product != w:
+    if product != key:
         _, suffix_break = _walk(n, order[::-1], covers)
     else:
         suffix_break = m + 1 - z_breaks[-1] if z_breaks else None
     _last_walk = (key, covers, bounds, order, product, tuple(z), prefix_break, tuple(z_breaks))
     return VerificationReport(
-        w, order, product, product == w, prefix_break is None,
+        w, order, product, product == key, prefix_break is None,
         suffix_break is None, prefix_break, suffix_break,
     )
 
@@ -288,7 +288,7 @@ def order_verdicts(
     A = c23(w)
     return chain_verdicts(
         A.reflections, reflection_pairs(A), max_reflections, times_transposition,
-        lambda x, t: covers(x, *t), identity(len(w)), inverse(w), w,
+        lambda x, t: covers(x, *t), identity(len(w)), inverse(w), tuple(w),
     )
 
 

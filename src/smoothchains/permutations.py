@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 Window = tuple[int, ...]
 Transposition = tuple[int, int]
 
-# Degree guard for text input, and the CLI's hard degree limit.
+# Degree guard for window text, which bounds the windows smooth and order take.
 MAX_DEGREE = 12
 
 

@@ -298,7 +298,7 @@ class WeylGroupD:
 
     def id_of(self, w: SignedWindow) -> int:
         """The id of w, refusing a window that is not an element of the group."""
-        i = self.index.get(w)
+        i = self.index.get(tuple(w))
         if i is None:
             raise ValueError(
                 f"{w} is not an element of W(D{self.rank}): a rank {self.rank} "

@@ -243,7 +243,7 @@ def test_order_dot_outputs_are_wellformed(capsys):
 def test_sweep_smooth_crosscheck_s4(capsys):
     code, payload = run_json(capsys, "sweep", "--mode", "smooth-crosscheck", "--n", "4")
     assert code == 0
-    assert payload["schema"] == "smoothchains.sweep.v1"
+    assert payload["schema"] == "smoothchains.sweep.v2"
     assert payload["population"] == 24
     assert payload["counters"] == {"checked": 24, "smooth": 22}
     assert payload["violations"] == []
@@ -275,24 +275,21 @@ def test_sweep_conjecture_d_rank3(capsys):
     assert code == 0
     assert payload["rank"] == 3
     assert payload["counters"] == {"checked": 22, "orders": 54}
-    assert payload["max_reflections"] is None
+    assert "max_reflections" not in payload
     assert payload["simple_order"][0] == "e2-e1 rank 2"
 
 
 def test_sweep_conjecture_d_rank5_under_a_raised_cap(capsys):
-    # every smooth element of D5, w0's 20 reflections included
-    code, payload = run_json(
-        capsys,
-        "sweep", "--mode", "conjecture-d", "--rank", "5",
-        "--allow-large", "--max-reflections", "20",
-    )
+    # every smooth element of D5, w0's 20 reflections included, as
+    # sweeps take no cap
+    code, payload = run_json(capsys, "sweep", "--mode", "conjecture-d", "--rank", "5")
     assert code == 0
     assert payload["counters"] == {"checked": 490, "orders": 13210910}
     assert payload["ok"] is True
 
 
 def test_formerly_refused_defaults_finish(capsys):
-    # sweeps and typed conjecture run uncapped unless --max-reflections is given
+    # sweeps and typed conjecture run uncapped
     runs = [
         run_json(capsys, "sweep", "--mode", mode, "--n", "6")
         for mode in ("enumerate-orders", "graph-connectivity")
@@ -300,12 +297,7 @@ def test_formerly_refused_defaults_finish(capsys):
     assert [code for code, _ in runs] == [0, 0]
     assert runs[0][1]["counters"] == runs[1][1]["counters"]
     assert runs[0][1]["counters"]["checked"] == 366
-    code, swept = run_json(
-        capsys, "sweep", "--mode", "conjecture-d", "--rank", "5", "--allow-large"
-    )
-    assert code == 0
-    assert swept["counters"] == {"checked": 490, "orders": 13210910}
-    code, typed = run_json(capsys, "typed", "conjecture", "--rank", "5", "--allow-large")
+    code, typed = run_json(capsys, "typed", "conjecture", "--rank", "5")
     assert code == 0 and typed["ok"] is True
     assert typed["checked"] == 490
     assert sum(e["orders_found"] for e in typed["elements"]) == 13210910
@@ -555,16 +547,13 @@ def test_sweep_sampling_is_seeded(capsys):
     "argv",
     [
         ["sweep", "--mode", "smooth-crosscheck", "--n", "5", "--sample", "3"],
-        ["sweep", "--mode", "smooth-crosscheck", "--n", "9"],
-        ["sweep", "--mode", "smooth-crosscheck", "--n", "13", "--allow-large"],
-        ["sweep", "--mode", "conjecture-d", "--rank", "5"],
-        ["sweep", "--mode", "conjecture-d", "--rank", "7", "--allow-large"],
+        ["sweep", "--mode", "smooth-crosscheck", "--n", "13"],
+        ["sweep", "--mode", "conjecture-d", "--rank", "7"],
         ["sweep", "--mode", "conjecture-d"],
         ["sweep", "--mode", "smooth-crosscheck"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--workers", "0"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "0"],
         ["sweep", "--mode", "theorem-verify", "--n", "-3"],
-        ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--max-reflections", "-1"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--sample", "0", "--seed", "1"],
         ["sweep", "--mode", "smooth-crosscheck", "--n", "3", "--sample", "7", "--seed", "1"],
     ],
@@ -580,11 +569,9 @@ def test_sweep_usage_errors_exit_2(capsys, argv):
     [
         (["sweep", "--mode", "smooth-crosscheck", "--n", "0"], "degree 0 is below the minimum 1"),
         (["sweep", "--mode", "theorem-verify", "--n", "-3"], "degree -3 is below the minimum 1"),
-        (["sweep", "--mode", "conjecture-d", "--rank", "3", "--max-reflections", "-1"],
-         "--max-reflections -1 is negative"),
+        (["typed", "conjecture", "--rank", "1"], "rank 1 is below the minimum 2"),
         (["order", "321", "--max-reflections", "-1"], "--max-reflections -1 is negative"),
-        (["typed", "conjecture", "--rank", "2", "--max-reflections", "-1"],
-         "--max-reflections -1 is negative"),
+        (["typed", "conjecture", "--rank", "7"], "rank 7 exceeds the supported limit 6"),
         (["sweep", "--mode", "smooth-crosscheck", "--n", "4", "--sample", "0", "--seed", "1"],
          "--sample 0 is outside 1..24"),
         (["sweep", "--mode", "smooth-crosscheck", "--n", "3", "--sample", "7", "--seed", "1"],
@@ -600,24 +587,16 @@ def test_sweep_usage_errors_exit_2(capsys, argv):
         (["sweep", "--mode", "theorem-verify", "--n", "4", "--rank", "3"],
          "--rank does not apply to mode theorem-verify; it takes --n"),
         # each sweep mode refuses one more than the largest size it was measured to finish
-        (["sweep", "--mode", "smooth-crosscheck", "--n", "10", "--allow-large"],
+        (["sweep", "--mode", "smooth-crosscheck", "--n", "10"],
          "degree 10 exceeds the supported limit 9"),
-        (["sweep", "--mode", "theorem-verify", "--n", "12", "--allow-large"],
+        (["sweep", "--mode", "theorem-verify", "--n", "12"],
          "degree 12 exceeds the supported limit 11"),
-        (["sweep", "--mode", "enumerate-orders", "--n", "11", "--allow-large"],
+        (["sweep", "--mode", "enumerate-orders", "--n", "11"],
          "degree 11 exceeds the supported limit 10"),
-        (["sweep", "--mode", "graph-connectivity", "--n", "10", "--allow-large"],
+        (["sweep", "--mode", "graph-connectivity", "--n", "10"],
          "degree 10 exceeds the supported limit 9"),
-        (["sweep", "--mode", "conjecture-d", "--rank", "7", "--allow-large"],
+        (["sweep", "--mode", "conjecture-d", "--rank", "7"],
          "rank 7 exceeds the supported limit 6"),
-        # an explicit cap still refuses, in-process or from a worker
-        (["sweep", "--mode", "enumerate-orders", "--n", "6", "--max-reflections", "10"],
-         "11 reflections exceed the enumeration cap 10; raise max_reflections to proceed"),
-        (["sweep", "--mode", "graph-connectivity", "--n", "6", "--max-reflections", "10",
-          "--workers", "2"],
-         "11 reflections exceed the enumeration cap 10; raise max_reflections to proceed"),
-        (["typed", "conjecture", "--rank", "5", "--allow-large", "--max-reflections", "12"],
-         "13 reflections exceed the enumeration cap 12; raise max_reflections to proceed"),
     ],
 )
 def test_out_of_range_values_are_refused_by_name(capsys, argv, message):
@@ -625,6 +604,31 @@ def test_out_of_range_values_are_refused_by_name(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_error_in_a_sweep_check_reaches_the_user(capsys, monkeypatch, workers):
+    # in-process or from a worker, which is forked and sees the patch
+    def refuse(A):
+        raise ValueError("no arrangement for this set")
+
+    monkeypatch.setattr(cli, "construct_for_set", refuse)
+    code, out, err = run_cli(
+        capsys, "sweep", "--mode", "theorem-verify", "--n", "4", "--workers", workers
+    )
+    assert (code, out, err) == (2, "", "error: no arrangement for this set\n")
+
+
+@pytest.mark.parametrize("option", [["--allow-large"], ["--max-reflections", "12"]])
+@pytest.mark.parametrize(
+    "command", [["sweep", "--mode", "conjecture-d", "--rank", "3"], ["typed", "conjecture", "--rank", "3"]]
+)
+def test_whole_population_runs_take_no_size_knob(capsys, command, option):
+    # each run's size limit is its one size rule
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + option)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_mode(capsys):
@@ -757,10 +761,7 @@ def test_typed_conjecture_rank2(capsys):
 
 
 def test_typed_conjecture_rank_guards(capsys):
-    code = main(["typed", "conjecture", "--rank", "5"])
-    capsys.readouterr()
-    assert code == 2
-    code = main(["typed", "conjecture", "--rank", "7", "--allow-large"])
+    code = main(["typed", "conjecture", "--rank", "7"])
     capsys.readouterr()
     assert code == 2
 

@@ -374,6 +374,10 @@ def test_order_verdicts_refuse_over_the_cap_as_listing_does():
     assert str(folded.value) == str(listed.value)
 
 
+def test_order_verdicts_read_a_window_given_as_a_list():
+    assert order_verdicts([3, 1, 2]) == order_verdicts((3, 1, 2)) == Counter({ALL_OK: 1})
+
+
 def test_some_compatible_order_starts_away_from_the_wedge():
     # regression: the verifier must not assume arrangements lead with a
     # wedge reflection; for 3214 neither compatible arrangement does
@@ -392,6 +396,12 @@ def test_verify_order_rejects_wrong_reflection_set():
         verify_order(w, ((1, 2), (2, 3)))
     with pytest.raises(ValueError):
         verify_order(w, ((1, 2), (1, 3), (1, 2)))
+
+
+def test_verify_order_reads_a_window_given_as_a_list():
+    w = (3, 1, 2)
+    order = construct_compatible_order(w)
+    assert verify_order(list(w), order).verdict == verify_order(w, order).verdict == ALL_OK
 
 
 MISMATCH = "arrangement does not match the reflections below w"

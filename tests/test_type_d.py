@@ -439,6 +439,14 @@ def test_c23_below_extremes():
         group.length_of(w0)
 
 
+def test_check_element_reads_a_window_given_as_a_list():
+    group = weyl_group(3)
+    listed, given = check_element(group, [3, 2, 1]), check_element(group, (3, 2, 1))
+    assert (listed.length, listed.verdicts) == (given.length, given.verdicts)
+    with pytest.raises(ValueError, match="not an element of W"):
+        group.id_of([-1, -2, -3])
+
+
 def test_full_lower_sets_below_smooth_elements_are_admissible():
     for rank in (2, 3, 4):
         group = weyl_group(rank)
