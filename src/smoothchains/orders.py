@@ -19,13 +19,14 @@ products walk saturated chains in Bruhat order.  This module constructs
 such an arrangement wedge by wedge, verifies arbitrary arrangements,
 and enumerates all compatible arrangements.  order_verdicts checks
 every compatible arrangement without listing any, through the chain
-fold of ordering_engine (chain_verdicts).  verify_order reads both
-chains of one arrangement in one forward walk on x and z = w^{-1} x,
-which gives the suffix chain's verdict when the product is w, and
-resumes from the arrangement it verified last when that was for the
-same w: consecutive arrangements of a listing share most of their
-prefix, so a caller that verifies a listing in order walks only the
-steps past each shared prefix.  The elementary-move graph on the
+fold of ordering_engine (chain_verdicts), which takes the right
+product and both cover tests of a step in one callback.  verify_order
+reads both chains of one arrangement in one forward walk on x and
+z = w^{-1} x, which gives the suffix chain's verdict when the product
+is w, and resumes from the arrangement it verified last when that was
+for the same w: consecutive arrangements of a listing share most of
+their prefix, so a caller that verifies a listing in order walks only
+the steps past each shared prefix.  The elementary-move graph on the
 compatible arrangements is ordering_engine's move graph: this module
 supplies only the pairs and the commute rule, disjoint reflections
 (_disjoint), which is orthogonality of their roots.
@@ -279,16 +280,22 @@ def order_verdicts(
 ) -> Counter[Verdict]:
     """How many compatible arrangements of c23(w) get each Verdict.
 
-    ordering_engine.chain_verdicts on windows, with bruhat.swap_covers
-    as read at the call; verify_order's verdicts whenever the product
-    is w.  Refused over max_reflections as enumerate_compatible_orders
-    is.
+    ordering_engine.chain_verdicts on windows: its steps callback swaps
+    positions i and j of x and z and tests both covers with
+    bruhat.swap_covers as read at the call.  These are verify_order's
+    verdicts whenever the product is w.  Refused over max_reflections
+    as enumerate_compatible_orders is.
     """
     covers = bruhat.swap_covers
+
+    def steps(x, z, t):
+        zt = times_transposition(z, t)
+        return times_transposition(x, t), zt, covers(x, *t), covers(zt, *t)
+
     A = c23(w)
     return chain_verdicts(
-        A.reflections, reflection_pairs(A), max_reflections, times_transposition,
-        lambda x, t: covers(x, *t), identity(len(w)), inverse(w), tuple(w),
+        A.reflections, reflection_pairs(A), max_reflections, steps,
+        identity(len(w)), inverse(w), tuple(w),
     )
 
 

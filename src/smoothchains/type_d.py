@@ -22,9 +22,11 @@ its type D analogue fails on smooth elements of rank 4.)
 
 check_element builds no label set and lists no arrangement: it reads
 w's reflections, as columns of positive_roots, and their pairs off its
-downset bitmask (columns_and_pairs), and gets the verdicts of every
-compatible arrangement from ordering_engine.chain_verdicts on element
-ids (times[x][column of alpha] is x * t_alpha).  A downset is closed,
+downset bitmask (columns_and_pairs, which reads only the pair rows of
+member columns), and gets the verdicts of every compatible arrangement
+from ordering_engine.chain_verdicts on element ids, through one steps
+callback on the group's tables (times[x][column of alpha] is
+x * t_alpha, a cover iff lengths rise by one).  A downset is closed,
 so it tests only the pair axioms; admissibility_violation_d and
 enumerate_compatible_orders_d read a label set, such as c23_below's,
 through its id mask (label_mask), and roots_and_pairs names the
@@ -280,21 +282,23 @@ class WeylGroupD:
 
     @cached_property
     def label_tables(self) -> tuple[tuple, tuple, tuple]:
-        """(reflections, pairs, labels), the ids check_element tests on a
+        """(reflections, rows, labels), the ids check_element tests on a
         downset: the id of t_alpha for each column, alpha's position in
-        positive_roots (times' column); each _summable_root_pairs row as
-        the mask of the ids of t_a and t_b, the columns of a, b and a + b,
-        and the ids of t_{a+b}, t_a t_b and t_b t_a; (label, id) sorted by
-        label."""
+        positive_roots (times' column); for each column of a root a, the
+        _summable_root_pairs rows of (a, b) in their order, each as the
+        columns of b and a + b and the ids of t_a t_b and t_b t_a;
+        (label, id) sorted by label."""
         ids = self.label_ids
         pos = positive_roots(self.rank)
         column = {a: k for k, a in enumerate(pos)}
-        pairs = tuple(
-            ((1 << ids[ta]) | (1 << ids[tb]), column[a], column[b], column[gamma],
-             ids[tg], ids[ab], ids[ba])
-            for a, b, gamma, ta, tb, tg, ab, ba in _summable_root_pairs(self.rank)
+        rows: list[list[tuple]] = [[] for _ in pos]
+        for a, b, gamma, _, _, _, ab, ba in _summable_root_pairs(self.rank):
+            rows[column[a]].append((column[b], column[gamma], ids[ab], ids[ba]))
+        return (
+            tuple(ids["t", a] for a in pos),
+            tuple(map(tuple, rows)),
+            tuple(sorted(ids.items())),
         )
-        return tuple(ids["t", a] for a in pos), pairs, tuple(sorted(ids.items()))
 
     def id_of(self, w: SignedWindow) -> int:
         """The id of w, refusing a window that is not an element of the group."""
@@ -432,14 +436,25 @@ def _pair_violation(rank: int, pairs: list) -> AdmissibilityViolationD | None:
 def columns_and_pairs(group: WeylGroupD, members: int) -> tuple[list[int], list]:
     """The member columns in root order and their summable pairs, as
     ordering_engine takes them with columns for roots, of the labels
-    whose ids are set in members; the only filter of label_tables."""
+    whose ids are set in members; the only filter of label_tables.
+
+    Only the rows of member columns are read, column by column, which
+    is the order of _summable_root_pairs.  A reflection is a member iff
+    its column is, so t_b and t_{a+b} are tested on the small mask of
+    member columns and only the products on members.
+    """
     reflections, rows, _ = group.label_tables
-    columns = [k for k, i in enumerate(reflections) if members >> i & 1]
+    columns, held = [], 0
+    for k, i in enumerate(reflections):
+        if members >> i & 1:
+            columns.append(k)
+            held |= 1 << k
     pairs = [
-        (ka, kb, kg if members >> ig & 1 else None,
+        (ka, kb, kg if held >> kg & 1 else None,
          members >> iab & 1 == 1, members >> iba & 1 == 1)
-        for both, ka, kb, kg, ig, iab, iba in rows
-        if members & both == both
+        for ka in columns
+        for kb, kg, iab, iba in rows[ka]
+        if held >> kb & 1
     ]
     return columns, pairs
 
@@ -532,19 +547,20 @@ def check_element(
     bitmask, feeds both the pair axioms (a downset is closed) and
     ordering_engine.chain_verdicts, whose cap and refusal are
     enumerate_compatible_orders_d's.  The fold runs on element ids, from
-    the identity's id 0 and the id of w^{-1}: a step x * t_alpha is
-    times[x][column of alpha], a cover iff it adds one to the length.
+    the identity's id 0 and the id of w^{-1}: its steps callback reads
+    x * t_alpha and z * t_alpha as times[.][column of alpha], and a step
+    is a cover iff it adds one to the length (lengths).
     """
     i = group.id_of(w)
     columns, pairs = columns_and_pairs(group, group.below[i] & group.ground_mask)
     violation = _pair_violation(group.rank, pairs)
     times, lengths = group.times, group.lengths
-    verdicts = chain_verdicts(
-        columns, pairs, max_reflections,
-        lambda x, k: times[x][k],
-        lambda x, k: lengths[times[x][k]] == lengths[x] + 1,
-        0, group.index[inverse(w)], i,
-    )
+
+    def steps(x, z, k):
+        xt, zt = times[x][k], times[z][k]
+        return xt, zt, lengths[xt] == lengths[x] + 1, lengths[zt] + 1 == lengths[z]
+
+    verdicts = chain_verdicts(columns, pairs, max_reflections, steps, 0, group.index[inverse(w)], i)
     return ConjectureElementReport(
         window=w,
         length=lengths[i],

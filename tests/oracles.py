@@ -586,3 +586,25 @@ def d_admissibility_violation_by_labels(group, A, cross_pair_products=False):
         if not ab and not ba:
             return ("reflection-pair", (("t", a), ("t", b)))
     return None
+
+
+def d_columns_and_pairs_by_rows(group, members: int) -> tuple[list[int], list]:
+    """type_d.columns_and_pairs by a scan of every summable-pair row of
+    the rank, each label's id tested in members, rather than only the
+    rows of member columns with the reflections tested by column."""
+    from smoothchains.type_d import _summable_root_pairs, positive_roots
+
+    pos = positive_roots(group.rank)
+    column = {a: k for k, a in enumerate(pos)}
+    ids = group.label_ids
+
+    def held(label) -> bool:
+        return members >> ids[label] & 1 == 1
+
+    columns = [k for k, a in enumerate(pos) if held(("t", a))]
+    pairs = [
+        (column[a], column[b], column[gamma] if held(tg) else None, held(ab), held(ba))
+        for a, b, gamma, ta, tb, tg, ab, ba in _summable_root_pairs(group.rank)
+        if held(ta) and held(tb)
+    ]
+    return columns, pairs

@@ -504,14 +504,18 @@ def test_sweep_reports_conjecture_fails(capsys, monkeypatch):
 
 
 def test_sweep_reports_a_type_d_chain_step_that_fails(capsys, monkeypatch):
-    # a cover test that fails the step out of the identity (id 0) by
-    # t[e2-e1] breaks the prefix chain of every order that starts with
+    # steps that fail the up-cover out of the identity (id 0) by
+    # t[e2-e1] break the prefix chain of every order that starts with
     # it and the suffix chain of every order that ends with it
     real = cli.type_d.chain_verdicts
     k = cli.type_d.positive_roots(3).index(cli.type_d.parse_root("e2-e1", 3))
 
-    def chain(items, pairs, cap, step, covers, *rest):
-        return real(items, pairs, cap, step, lambda x, t: covers(x, t) and (x, t) != (0, k), *rest)
+    def chain(items, pairs, cap, steps, *rest):
+        def flipped(x, z, t):
+            xt, zt, up, down = steps(x, z, t)
+            return xt, zt, up and (x, t) != (0, k), down and (zt, t) != (0, k)
+
+        return real(items, pairs, cap, flipped, *rest)
 
     monkeypatch.setattr(cli.type_d, "chain_verdicts", chain)
     out, found = _one_violation(capsys, ["sweep", "--mode", "conjecture-d", "--rank", "3"])

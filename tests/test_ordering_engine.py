@@ -7,9 +7,12 @@ from itertools import combinations, permutations
 import pytest
 
 from oracles import d_label_ideals, ground_ideals, moves_by_rule
+from smoothchains import ordering_engine
 from smoothchains.admissible import c23, is_smooth_pattern, make_set, reflection_pairs
 from smoothchains.ordering_engine import (
+    Verdict,
     capped_orders,
+    chain_verdicts,
     connected_by_moves,
     connectivity,
     fold_orders,
@@ -17,6 +20,7 @@ from smoothchains.ordering_engine import (
     moves,
     moves_connected,
 )
+from smoothchains.orders import order_verdicts
 from smoothchains.permutations import all_windows, compose, identity, times_transposition
 from smoothchains.type_d import (
     c23_below,
@@ -142,6 +146,80 @@ def test_the_placed_set_alone_determines_the_prefix_product():
         found = _products_by_placed_set(listed, lambda x, a: compose(x, t[a]), identity(4))
         assert all(len(xs) == 1 for xs in found.values()), w
     assert arranged == 3305
+
+
+def _path_steps(x, z, t):
+    # x records the path, so every placed set of two or more items is
+    # reached by as many products as orders of its items
+    return x + (t,), z, (len(x) + t) % 3 != 0, t != 2 or not x
+
+
+def _set_steps(x, z, t):
+    # x counts the placed items, one product per set, but z records the path
+    return x + 1, z + (t,), len(z) != t, z[-1:] != (3,)
+
+
+def _per_state(items, pairs, steps, start, start_z, target):
+    # fold_orders' Counter over (x, z, prefix ok, suffix ok) states
+    def chain_step(state, t):
+        x, z, prefix_ok, suffix_ok = state
+        xt, zt, up, down = steps(x, z, t)
+        return xt, zt, prefix_ok and up, suffix_ok and down
+
+    verdicts = Counter()
+    folded = fold_orders(items, pairs, None, chain_step, (start, start_z, True, True))
+    for (x, _, prefix_ok, suffix_ok), count in folded.items():
+        verdicts[Verdict(x == target, prefix_ok, suffix_ok)] += count
+    return verdicts
+
+
+def _walked(items, pairs, steps, start, start_z, target):
+    # the verdicts of each listed arrangement, walked one at a time
+    verdicts = Counter()
+    for order in capped_orders(items, pairs, None):
+        x, z, prefix_ok, suffix_ok = start, start_z, True, True
+        for t in order:
+            x, z, up, down = steps(x, z, t)
+            prefix_ok, suffix_ok = prefix_ok and up, suffix_ok and down
+        verdicts[Verdict(x == target, prefix_ok, suffix_ok)] += 1
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "steps, start, start_z, target",
+    [(_path_steps, (), 0, (0, 1, 3, 2)), (_set_steps, 0, (), 4)],
+)
+def test_a_second_product_at_a_placed_set_folds_per_state(monkeypatch, steps, start, start_z, target):
+    # products that depend on the path, not on the placed set alone:
+    # the fold must fall back to one state per (x, z, prefix ok, suffix
+    # ok) and give fold_orders' per-state Counter
+    items = [0, 1, 2, 3]
+    pairs = [(0, 1, None, True, False)]  # 0 before 1: 12 arrangements
+    refolds = []
+    real = ordering_engine._per_state_verdicts
+
+    def spy(*args):
+        refolds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ordering_engine, "_per_state_verdicts", spy)
+    found = chain_verdicts(items, pairs, None, steps, start, start_z, target)
+    assert len(refolds) == 1
+    assert found == _per_state(items, pairs, steps, start, start_z, target)
+    assert found == _walked(items, pairs, steps, start, start_z, target)
+    assert sum(found.values()) == 12 and len(found) > 2
+
+
+def test_smooth_elements_fold_one_product_per_placed_set(monkeypatch):
+    # on S4 the per-state fold is never needed, and the counts split by
+    # verdict agree with the per-state fold
+    def refold(*args):
+        raise AssertionError("a second product reached a placed set")
+
+    monkeypatch.setattr(ordering_engine, "_per_state_verdicts", refold)
+    for w in all_windows(4):
+        if is_smooth_pattern(w):
+            assert set(order_verdicts(w, None)) == {Verdict(True, True, True)}, w
 
 
 def test_fold_over_no_items_is_the_start():

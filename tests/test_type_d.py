@@ -16,6 +16,7 @@ from oracles import (
     act_on_root,
     all_roots,
     d_admissibility_violation_by_labels,
+    d_columns_and_pairs_by_rows,
     d_cover_pairs,
     d_cover_pairs_oracle,
     d_downsets,
@@ -52,6 +53,7 @@ from smoothchains.type_d import (
     c23_below,
     c23_labels,
     check_element,
+    columns_and_pairs,
     embed_window,
     enumerate_compatible_orders_d,
     label_text,
@@ -615,6 +617,20 @@ def test_mask_path_matches_label_set_path_on_every_element(rank):
         assert report.reflections == len(roots), w
         assert report.admissible == (violation is None), w
         assert report.admissibility_note == (violation and violation.describe()), w
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_member_column_rows_give_the_pairs_of_a_scan_of_every_row(rank):
+    # columns_and_pairs reads only the rows of member columns; a scan of
+    # every row must give the same pairs in the same order, so that
+    # _pair_violation names the same first failing pair
+    group = weyl_group(rank)
+    for i in range(len(group)):
+        members = group.below[i] & group.ground_mask
+        found = columns_and_pairs(group, members)
+        assert found == d_columns_and_pairs_by_rows(group, members), group.windows[i]
+    members = group.ground_mask
+    assert columns_and_pairs(group, members) == d_columns_and_pairs_by_rows(group, members)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5])
